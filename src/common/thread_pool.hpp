@@ -7,8 +7,15 @@
 // covers the same index range for a given (count, shard count) — which is
 // what lets the threaded forward pass stay bit-identical to the serial one
 // and lets per-shard counters be merged in a fixed order.
+//
+// The index space is over-decomposed: kShardsPerWorker shards per worker,
+// each claimed by whichever worker is free next (run_batch). On a shared
+// host a vCPU that is descheduled or woken late then delays only the one
+// small shard it holds, while the other workers drain the rest, instead of
+// setting the time for a whole 1/size() slice of the layer.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -38,7 +45,10 @@ class ThreadPool {
   /// Submit a batch and wait for every task to finish. If any task threw,
   /// the exception of the *lowest-indexed* failing task is rethrown (after
   /// all tasks have completed, so captured state stays alive throughout).
-  /// An empty batch is a no-op.
+  /// An empty batch is a no-op. The batch enters the queue as one runner
+  /// per worker (at most one per task); each runner claims the next
+  /// unclaimed task index with one atomic increment until none remain, so a
+  /// free worker takes the next task without a queue round trip per task.
   void run_batch(std::vector<std::function<void()>> tasks);
 
  private:
@@ -46,22 +56,33 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::deque<std::packaged_task<void()>> queue_;
+  std::atomic<std::size_t> queued_{0};  ///< queue_.size(), polled lock-free
+                                        ///< by workers about to sleep
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
 };
 
-/// Shard [0, count) into at most pool->size() contiguous ranges and run
-/// `body(begin, end, shard)` for each on the pool, waiting for completion.
-/// Shard boundaries depend only on (count, shard count), never on timing.
-/// A null pool, a one-worker pool, or count <= 1 runs inline as
-/// body(0, count, 0); count == 0 calls nothing.
+/// Shards per pool worker that parallel_for() and the conv shard plans cut
+/// a layer into. Chosen from a batch-cifar sweep of 4, 8 and 16 on a 4-vCPU
+/// host (docs/ALGORITHM.md, "Runtime"): enough small shards that a straggling
+/// worker's last shard is short, few enough that a layer's shards stay far
+/// larger than the cost of handing one out.
+inline constexpr int kShardsPerWorker = 8;
+
+/// Shard [0, count) into parallel_shard_count(pool, count) contiguous ranges
+/// and run `body(begin, end, shard)` for each on the pool, waiting for
+/// completion. Shard boundaries depend only on (count, shard count), never
+/// on timing or on which worker runs a shard. A null pool, a one-worker
+/// pool, or count <= 1 runs inline as body(0, count, 0); count == 0 calls
+/// nothing.
 void parallel_for(ThreadPool* pool, std::int64_t count,
                   const std::function<void(std::int64_t begin, std::int64_t end,
                                            int shard)>& body);
 
-/// Number of shards parallel_for() will use for `count` items on `pool`
-/// (callers size per-shard scratch/counter arrays with this).
+/// Number of shards parallel_for() will use for `count` items on `pool`:
+/// min(count, kShardsPerWorker * pool->size()), or 1 without a multi-worker
+/// pool (callers size per-shard scratch/counter arrays with this).
 [[nodiscard]] int parallel_shard_count(const ThreadPool* pool, std::int64_t count);
 
 /// A deterministic weighted shard plan: [0, n) split into shards() contiguous

@@ -1,12 +1,20 @@
 #include "nn/activation.hpp"
 
+#include "common/thread_pool.hpp"
+
 namespace scnn::nn {
 
 Tensor ReLU::forward(const Tensor& input) {
   cached_input_ = input;
-  Tensor y = input;
-  for (auto& v : y.data())
-    if (v < 0.0f) v = 0.0f;
+  Tensor y(input.n(), input.c(), input.h(), input.w());
+  // One item = one (image, channel) plane of independent elements.
+  const std::size_t plane = static_cast<std::size_t>(input.h()) * input.w();
+  common::parallel_for(pool_, static_cast<std::int64_t>(input.n()) * input.c(),
+                       [&](std::int64_t lo, std::int64_t hi, int) {
+    for (std::size_t i = static_cast<std::size_t>(lo) * plane;
+         i < static_cast<std::size_t>(hi) * plane; ++i)
+      y[i] = input[i] < 0.0f ? 0.0f : input[i];
+  });
   return y;
 }
 

@@ -9,9 +9,13 @@ class ReLU final : public Layer {
  public:
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Shard the forward pass over (image, channel) planes on `pool`
+  /// (nullptr = serial).
+  void set_thread_pool(common::ThreadPool* pool) override { pool_ = pool; }
   [[nodiscard]] std::string name() const override { return "relu"; }
 
  private:
+  common::ThreadPool* pool_ = nullptr;
   Tensor cached_input_;
 };
 

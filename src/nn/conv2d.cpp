@@ -92,17 +92,15 @@ Tensor Conv2D::forward_float(const Tensor& x) {
 }
 
 std::vector<std::int32_t> Conv2D::quantize_input_(const Tensor& x, int n_bits) const {
-  const std::size_t plane = static_cast<std::size_t>(in_ch_) * x.h() * x.w();
-  std::vector<std::int32_t> xq(static_cast<std::size_t>(x.n()) * plane);
-  common::parallel_for(pool_, x.n(), [&](std::int64_t lo, std::int64_t hi, int) {
-    for (std::int64_t n = lo; n < hi; ++n) {
-      std::size_t idx = static_cast<std::size_t>(n) * plane;
-      for (int z = 0; z < in_ch_; ++z)
-        for (int yy = 0; yy < x.h(); ++yy)
-          for (int xx = 0; xx < x.w(); ++xx)
-            xq[idx++] = common::quantize(
-                x.at(static_cast<int>(n), z, yy, xx) / act_scale_, n_bits);
-    }
+  // One item = one (image, channel) plane; the codes keep the tensor's
+  // (n, z, y, x) layout, so each plane is one contiguous range.
+  const std::size_t plane = static_cast<std::size_t>(x.h()) * x.w();
+  std::vector<std::int32_t> xq(x.size());
+  common::parallel_for(pool_, static_cast<std::int64_t>(x.n()) * in_ch_,
+                       [&](std::int64_t lo, std::int64_t hi, int) {
+    for (std::size_t i = static_cast<std::size_t>(lo) * plane;
+         i < static_cast<std::size_t>(hi) * plane; ++i)
+      xq[i] = common::quantize(x[i] / act_scale_, n_bits);
   });
   return xq;
 }

@@ -52,7 +52,7 @@ class Layer {
   /// owned and must outlive the layer's forward calls. Layers that gain
   /// nothing from sharding ignore it. The threaded forward pass is
   /// bit-identical to the serial one (each output element is computed
-  /// entirely by one worker, shard boundaries are deterministic).
+  /// entirely within one shard, shard boundaries are deterministic).
   virtual void set_thread_pool(common::ThreadPool*) {}
 
   [[nodiscard]] virtual std::string name() const = 0;

@@ -13,10 +13,14 @@ class MaxPool2D final : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Shard the forward pass over (image, channel) planes on `pool`
+  /// (nullptr = serial). Planes write disjoint outputs and argmax entries.
+  void set_thread_pool(common::ThreadPool* pool) override { pool_ = pool; }
   [[nodiscard]] std::string name() const override { return "maxpool"; }
 
  private:
   int k_, s_;
+  common::ThreadPool* pool_ = nullptr;
   Tensor cached_input_;
   std::vector<std::size_t> argmax_;  // flat input index per output element
 };
@@ -27,10 +31,14 @@ class AvgPool2D final : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Shard the forward pass over (image, channel) planes on `pool`
+  /// (nullptr = serial).
+  void set_thread_pool(common::ThreadPool* pool) override { pool_ = pool; }
   [[nodiscard]] std::string name() const override { return "avgpool"; }
 
  private:
   int k_, s_;
+  common::ThreadPool* pool_ = nullptr;
   int in_h_ = 0, in_w_ = 0, in_c_ = 0, in_n_ = 0;
 };
 

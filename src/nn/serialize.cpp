@@ -1,10 +1,13 @@
 #include "nn/serialize.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 #include <vector>
 
 namespace scnn::nn {
@@ -48,6 +51,18 @@ void load_checkpoint(Network& net, const std::string& path) {
     throw std::runtime_error("load_checkpoint: bad magic in " + path);
   std::uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof count);
+  if (!in) throw std::runtime_error("load_checkpoint: truncated file " + path);
+  // The count is untrusted: bound it by the bytes the file actually holds
+  // between the header and the checksum trailer before sizing anything.
+  std::error_code ec;
+  const std::uintmax_t file_size = std::filesystem::file_size(path, ec);
+  if (ec) throw std::runtime_error("load_checkpoint: cannot size " + path);
+  constexpr std::uint64_t kFraming = sizeof kMagic + 2 * sizeof(std::uint64_t);
+  const std::uint64_t payload = file_size > kFraming ? file_size - kFraming : 0;
+  if (count > payload / sizeof(float))
+    throw std::runtime_error("load_checkpoint: header claims " + std::to_string(count) +
+                             " floats but " + path + " is only " +
+                             std::to_string(file_size) + " bytes");
   std::vector<float> blob(count);
   in.read(reinterpret_cast<char*>(blob.data()),
           static_cast<std::streamsize>(count * sizeof(float)));
@@ -56,6 +71,10 @@ void load_checkpoint(Network& net, const std::string& path) {
   if (!in) throw std::runtime_error("load_checkpoint: truncated file " + path);
   if (checksum != fnv1a(blob.data(), blob.size() * sizeof(float)))
     throw std::runtime_error("load_checkpoint: checksum mismatch in " + path);
+  for (std::size_t i = 0; i < blob.size(); ++i)
+    if (!std::isfinite(blob[i]))
+      throw std::runtime_error("load_checkpoint: non-finite weight at element " +
+                               std::to_string(i) + " in " + path);
   net.load_parameters(blob);  // throws on parameter-count mismatch
 }
 

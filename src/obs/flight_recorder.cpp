@@ -62,7 +62,7 @@ void FlightRecorder::record(int shard, FlightEventKind kind, int worker,
   slot.w[7].store(arg1, std::memory_order_relaxed);
   char buf[kDetailWords * 8] = {};
   const std::size_t n = std::min(detail.size(), sizeof buf - 1);  // keep a NUL
-  std::memcpy(buf, detail.data(), n);
+  if (n > 0) std::memcpy(buf, detail.data(), n);  // an empty view may be null
   for (int i = 0; i < kDetailWords; ++i) {
     std::uint64_t word = 0;
     std::memcpy(&word, buf + i * 8, 8);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "nn/network.hpp"
 
@@ -79,6 +83,45 @@ TEST_F(SerializeTest, RejectsTruncatedFile) {
   const auto full = fs::file_size(path("m.ckpt"));
   fs::resize_file(path("m.ckpt"), full / 2);
   EXPECT_THROW(load_checkpoint(net, path("m.ckpt")), std::runtime_error);
+}
+
+TEST_F(SerializeTest, RejectsCountBeyondFileSizeWithoutAllocating) {
+  // A header claiming 2^40 floats (4 TiB) must be refused from the file
+  // size alone, before any buffer is sized from the count.
+  const std::uint64_t count = std::uint64_t{1} << 40;
+  {
+    std::ofstream f(path("huge.ckpt"), std::ios::binary);
+    f.write("SCNN0001", 8);
+    f.write(reinterpret_cast<const char*>(&count), sizeof count);
+    const std::uint64_t checksum = 0;
+    f.write(reinterpret_cast<const char*>(&checksum), sizeof checksum);
+  }
+  const auto size = fs::file_size(path("huge.ckpt"));
+  Network net = make_mnist_net();
+  try {
+    load_checkpoint(net, path("huge.ckpt"));
+    FAIL() << "expected load_checkpoint to reject the count";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(std::to_string(count)), std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::to_string(size) + " bytes"), std::string::npos) << msg;
+  }
+}
+
+TEST_F(SerializeTest, RejectsNonFiniteWeightNamingTheElement) {
+  Network net = make_mnist_net();
+  std::vector<float> blob = net.save_parameters();
+  blob[5] = std::numeric_limits<float>::quiet_NaN();
+  net.load_parameters(blob);
+  save_checkpoint(net, path("nan.ckpt"));  // checksum covers the NaN
+  Network fresh = make_mnist_net();
+  try {
+    load_checkpoint(fresh, path("nan.ckpt"));
+    FAIL() << "expected load_checkpoint to reject the NaN weight";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("non-finite weight at element 5"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(SerializeTest, MissingFileThrows) {

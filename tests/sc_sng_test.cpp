@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "sc/ed.hpp"
@@ -34,7 +35,10 @@ TEST(Halton, IntBase2MatchesDouble) {
 
 // Every SNG must produce an *exactly* value-correct stream over its natural
 // period for the deterministic kinds, and an unbiased one for the LFSR.
-class SngValue : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+// The kind is a std::string, not a const char*, so the generated test names
+// show the kind's text rather than the literal's address, which changes from
+// process to process.
+class SngValue : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(SngValue, FullPeriodStreamValue) {
   const auto [kind, n] = GetParam();
@@ -45,12 +49,11 @@ TEST_P(SngValue, FullPeriodStreamValue) {
     const auto stream = generate_stream(*sng, code, len);
     const double expected = static_cast<double>(code) / static_cast<double>(len);
     const double got = stream.unipolar_value();
-    const std::string name(kind);
-    if (name == "lfsr") {
+    if (kind == "lfsr") {
       // LFSR states are uniform over [1, 2^n - 1]: P(state < code) =
       // (code - 1 + [code == 0]) / (2^n - 1); allow that inherent bias.
       EXPECT_NEAR(got, expected, 2.0 / static_cast<double>(len)) << kind << " code=" << code;
-    } else if (name == "halton3") {
+    } else if (kind == "halton3") {
       // Base-3 sequence over a power-of-two window: low-discrepancy but not
       // exactly balanced; star discrepancy is O(log L / L).
       EXPECT_NEAR(got, expected, (2.0 + 2.0 * n) / static_cast<double>(len))
@@ -64,7 +67,9 @@ TEST_P(SngValue, FullPeriodStreamValue) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, SngValue,
-    ::testing::Combine(::testing::Values("lfsr", "halton2", "halton3", "ed", "ed*"),
+    ::testing::Combine(::testing::Values(std::string("lfsr"), std::string("halton2"),
+                                         std::string("halton3"), std::string("ed"),
+                                         std::string("ed*")),
                        ::testing::Values(5, 8, 10)));
 
 TEST(EdCode, ExactPrefixBalance) {

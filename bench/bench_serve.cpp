@@ -1,28 +1,21 @@
-// Serving throughput: micro-batched vs unbatched admission, and the
-// lock-free admission ring vs the mutex queue, same traffic.
+// Serving throughput: micro-batched vs unbatched admission, same traffic.
 //
 //   build/bench/bench_serve [--requests=N] [--concurrency=C] [--max-batch=B]
 //                           [--quick] [--assert-speedup]
 //
 // A closed-loop load of C client threads drives serve::Server over the same
-// synthetic-digit inputs in four configurations: max_batch=1 (every request
-// its own forward), max_batch=B (adaptive micro-batching, the default
-// lock-free ring), the same batched load with the flight recorder off, and
-// the same batched load on the mutex admission queue (queue_kind=kMutex).
-// The run FAILS (exit 1) if any served response is not kOk or its logits
-// are not bit-identical to a direct single-request
-// InferenceSession::forward of the same input: neither batching nor the
-// queue implementation may ever change the arithmetic. Throughput, latency
-// percentiles, the batched/unbatched ratio, and the ring/mutex ratio are
-// reported and written to BENCH_serve.json.
+// synthetic-digit inputs in three configurations: max_batch=1 (every request
+// its own forward), max_batch=B (adaptive micro-batching), and the same
+// batched load with the flight recorder off. The run FAILS (exit 1) if any
+// served response is not kOk or its logits are not bit-identical to a direct
+// single-request InferenceSession::forward of the same input: batching may
+// never change the arithmetic. Throughput, latency percentiles, and the
+// batched/unbatched ratio are reported and written to BENCH_serve.json.
 //
-// With --assert-speedup the run additionally fails unless (a) batching is
-// >= 2x unbatched throughput at concurrency 8 and (b) the lock-free ring
-// is >= the mutex queue (with one retake of both runs first — at these
-// model sizes admission is a small slice of the forward-bound total, so a
-// single measurement can land under 1.0 on scheduler noise alone); like
-// bench_parallel_inference, the assertions need real cores to be
-// meaningful, so they are skipped — loudly — below 4 hardware threads.
+// With --assert-speedup the run additionally fails unless batching is >= 2x
+// unbatched throughput at concurrency 8; like bench_parallel_inference, the
+// assertion needs real cores to be meaningful, so it is skipped — loudly —
+// below 4 hardware threads.
 // --quick shrinks the load for the ctest smoke label.
 #include <algorithm>
 #include <atomic>
@@ -76,7 +69,6 @@ double percentile(std::vector<double>& sorted, double p) {
 
 RunResult run_config(const char* label, int max_batch, int requests, int concurrency,
                      int session_threads, bool flight_recorder,
-                     scnn::serve::QueueKind queue_kind,
                      const scnn::data::Dataset& data, const Tensor& calib,
                      const std::vector<Tensor>& reference,
                      scnn::obs::JsonReport* registry_sink) {
@@ -86,7 +78,6 @@ RunResult run_config(const char* label, int max_batch, int requests, int concurr
   opts.max_batch = max_batch;
   opts.max_delay_us = 1000;
   opts.queue_capacity = std::max(64, 4 * concurrency);
-  opts.queue_kind = queue_kind;
   opts.engine = bench_engine();
   opts.flight_recorder = flight_recorder;
   Server server([&] { return scnn::nn::make_mnist_net(data.images.h()); }, opts,
@@ -153,7 +144,7 @@ EngineConfig tenant_beta_engine() {
 }
 
 /// Two tenants with different arithmetic (proposed 8-bit vs fixed 10-bit)
-/// multiplexed over one worker pool and admission ring — the multi-tenant
+/// multiplexed over one worker pool and admission queue — the multi-tenant
 /// trajectory rows. Each tenant's responses are gated bit-exact against its
 /// OWN direct single-session forward; a cross-tenant leak would show up as a
 /// mismatch immediately.
@@ -305,15 +296,12 @@ int main(int argc, char** argv) {
   report.set_meta("requests", static_cast<double>(requests));
   report.set_meta("concurrency", static_cast<double>(concurrency));
 
-  using scnn::serve::QueueKind;
   const RunResult unbatched = run_config("unbatched", 1, requests, concurrency,
                                          session_threads, /*flight_recorder=*/true,
-                                         QueueKind::kLockFree, data, calib,
-                                         reference, nullptr);
-  RunResult batched = run_config("batched", max_batch, requests, concurrency,
-                                 session_threads, /*flight_recorder=*/true,
-                                 QueueKind::kLockFree, data, calib, reference,
-                                 &report);
+                                         data, calib, reference, nullptr);
+  const RunResult batched = run_config("batched", max_batch, requests, concurrency,
+                                       session_threads, /*flight_recorder=*/true,
+                                       data, calib, reference, &report);
   // Flight-recorder cost: the same batched load with the forensic ring off.
   // The recorder is on by default in production, so its overhead is part of
   // the serving trajectory — measured here, printed, and gated (<2%) in the
@@ -321,16 +309,7 @@ int main(int argc, char** argv) {
   const RunResult no_flight = run_config("batched_no_flight", max_batch, requests,
                                          concurrency, session_threads,
                                          /*flight_recorder=*/false,
-                                         QueueKind::kLockFree, data, calib,
-                                         reference, nullptr);
-  // The admission A/B: the batched run above IS the lock-free ring (the
-  // default queue_kind); run the identical load on the mutex fallback. Both
-  // flow through the same bit-exactness check below — the queue may only
-  // change throughput, never logits.
-  RunResult mutexed = run_config("batched_mutex", max_batch, requests, concurrency,
-                                 session_threads, /*flight_recorder=*/true,
-                                 QueueKind::kMutex, data, calib, reference,
-                                 nullptr);
+                                         data, calib, reference, nullptr);
 
   scnn::common::Table t({"config", "ok", "req/s", "mean batch", "p50 us", "p95 us",
                          "max us"});
@@ -342,9 +321,8 @@ int main(int argc, char** argv) {
                scnn::common::Table::fmt(r.max_us, 0)});
   };
   add("max_batch=1", unbatched);
-  add(("max_batch=" + std::to_string(max_batch) + " (ring)").c_str(), batched);
+  add(("max_batch=" + std::to_string(max_batch)).c_str(), batched);
   add("batched, flight off", no_flight);
-  add("batched, mutex queue", mutexed);
 
   // The multi-tenant rows: the same closed loop split across two tenants
   // with different arithmetic, bit-exactness gated per tenant.
@@ -363,32 +341,10 @@ int main(int argc, char** argv) {
                    calib, reference, beta_reference, report, t, mt_failed);
   t.print(std::cout);
 
-  if (assert_speedup && !quick && hw >= 4 &&
-      batched.throughput_rps < mutexed.throughput_rps) {
-    // Admission is a small slice of the forward-bound total here, so a single
-    // ring-vs-mutex measurement can dip under 1.0 on scheduler noise alone.
-    // Before asserting, retake both runs once and keep each config's best.
-    std::printf("ring < mutex on first measurement — retaking both runs once\n");
-    const RunResult ring2 = run_config("batched_retake", max_batch, requests,
-                                       concurrency, session_threads, true,
-                                       QueueKind::kLockFree, data, calib,
-                                       reference, nullptr);
-    const RunResult mutex2 = run_config("batched_mutex_retake", max_batch, requests,
-                                        concurrency, session_threads, true,
-                                        QueueKind::kMutex, data, calib,
-                                        reference, nullptr);
-    if (ring2.throughput_rps > batched.throughput_rps) batched = ring2;
-    if (mutex2.throughput_rps > mutexed.throughput_rps) mutexed = mutex2;
-  }
   const double speedup = unbatched.throughput_rps > 0.0
                              ? batched.throughput_rps / unbatched.throughput_rps
                              : 0.0;
   std::printf("batched throughput = %.2fx unbatched\n", speedup);
-  const double ring_vs_mutex = mutexed.throughput_rps > 0.0
-                                   ? batched.throughput_rps / mutexed.throughput_rps
-                                   : 0.0;
-  std::printf("lock-free ring = %.2fx mutex queue (%.1f vs %.1f req/s)\n",
-              ring_vs_mutex, batched.throughput_rps, mutexed.throughput_rps);
   const double flight_overhead_pct =
       no_flight.throughput_rps > 0.0
           ? (1.0 - batched.throughput_rps / no_flight.throughput_rps) * 100.0
@@ -404,13 +360,6 @@ int main(int argc, char** argv) {
   report.add_metric("batched.p95_us", batched.p95_us, "us");
   report.add_metric("speedup", speedup, "x");
   report.add_metric("flight_recorder.overhead_pct", flight_overhead_pct, "pct");
-  // The admission A/B, both variants: "ring" is the batched default
-  // (queue_kind=lockfree), "mutex" the same load on the fallback queue.
-  report.add_metric("ring.throughput_rps", batched.throughput_rps, "req/s");
-  report.add_metric("mutex.throughput_rps", mutexed.throughput_rps, "req/s");
-  report.add_metric("ring.p95_us", batched.p95_us, "us");
-  report.add_metric("mutex.p95_us", mutexed.p95_us, "us");
-  report.add_metric("ring_vs_mutex", ring_vs_mutex, "x");
   report.write_file("BENCH_serve.json");
 
   bool failed = mt_failed;
@@ -427,12 +376,10 @@ int main(int argc, char** argv) {
     }
   };
   check("unbatched", unbatched);
-  check("batched (ring)", batched);
+  check("batched", batched);
   check("batched, flight off", no_flight);
-  check("batched, mutex queue", mutexed);
   if (failed) return 1;
-  std::printf("all served logits bit-identical to direct InferenceSession::forward "
-              "under both queue kinds\n");
+  std::printf("all served logits bit-identical to direct InferenceSession::forward\n");
 
   if (assert_speedup && quick) {
     std::printf("SKIP speedup assertions under --quick: the shrunk load is not a "
@@ -440,8 +387,7 @@ int main(int argc, char** argv) {
   } else if (assert_speedup) {
     if (hw < 4) {
       std::printf("SKIP speedup assertions: only %u hardware threads (batching wins "
-                  "by sharding big batches over >= 4 session threads, and the "
-                  "admission queues cannot contend without concurrent cores)\n", hw);
+                  "by sharding big batches over >= 4 session threads)\n", hw);
     } else {
       if (speedup < 2.0) {
         std::printf("FAIL: batched throughput %.2fx < 2x unbatched at concurrency %d\n",
@@ -449,12 +395,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       std::printf("PASS: batched throughput >= 2x unbatched\n");
-      if (ring_vs_mutex < 1.0) {
-        std::printf("FAIL: lock-free ring %.2fx < 1x mutex queue at concurrency %d "
-                    "(after one retake)\n", ring_vs_mutex, concurrency);
-        return 1;
-      }
-      std::printf("PASS: lock-free ring >= mutex queue\n");
     }
   }
   return 0;

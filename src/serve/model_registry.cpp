@@ -1,5 +1,6 @@
 #include "serve/model_registry.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -211,6 +212,12 @@ std::uint64_t ModelRegistry::swap(int tenant, std::vector<float> params) {
           "ModelRegistry::swap: tenant \"" + t.options.name + "\": " +
           std::to_string(params.size()) + " parameters, expected " +
           std::to_string(expected));
+    for (std::size_t i = 0; i < params.size(); ++i)
+      if (!std::isfinite(params[i]))
+        throw std::invalid_argument("ModelRegistry::swap: tenant \"" +
+                                    t.options.name +
+                                    "\": non-finite parameter at element " +
+                                    std::to_string(i));
     t.generations.push_back(
         std::make_shared<const std::vector<float>>(std::move(params)));
     new_epoch = t.generations.size() - 1;

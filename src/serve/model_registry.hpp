@@ -112,7 +112,9 @@ class ModelRegistry {
 
   /// Publish `params` as the tenant's next checkpoint generation and return
   /// the new epoch. Validates the parameter count against generation 0
-  /// (same topology) eagerly, naming got/expected on a mismatch. Requests
+  /// (same topology) eagerly, naming got/expected on a mismatch, and rejects
+  /// a non-finite parameter naming its element index; either way the epoch
+  /// does not move. Requests
   /// admitted after the returned epoch is published run on the new
   /// parameters; shards reload lazily on their next acquire.
   std::uint64_t swap(int tenant, std::vector<float> params);

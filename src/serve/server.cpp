@@ -1,12 +1,10 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <array>
-#include <deque>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
-#include "common/mpmc_ring.hpp"
 #include "serve/json_scan.hpp"
 
 namespace scnn::serve {
@@ -85,21 +83,6 @@ Priority priority_from_string(std::string_view s) {
                               "\" (expected high|normal|batch)");
 }
 
-std::string to_string(QueueKind k) {
-  switch (k) {
-    case QueueKind::kMutex: return "mutex";
-    case QueueKind::kLockFree: return "lockfree";
-  }
-  return "invalid";
-}
-
-QueueKind queue_kind_from_string(std::string_view s) {
-  if (s == "mutex") return QueueKind::kMutex;
-  if (s == "lockfree") return QueueKind::kLockFree;
-  throw std::invalid_argument("queue = \"" + std::string(s) +
-                              "\" (expected mutex|lockfree)");
-}
-
 bool Ticket::ready() const {
   return fut_.valid() &&
          fut_.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
@@ -150,8 +133,7 @@ std::string ServerOptions::to_json() const {
       ",\"max_batch\":" + std::to_string(max_batch) +
       ",\"max_delay_us\":" + std::to_string(max_delay_us) +
       ",\"queue_capacity\":" + std::to_string(queue_capacity) +
-      ",\"queue_kind\":\"" + serve::to_string(queue_kind) +
-      "\",\"default_deadline_us\":" + std::to_string(default_deadline_us) +
+      ",\"default_deadline_us\":" + std::to_string(default_deadline_us) +
       ",\"start_paused\":" + (start_paused ? "true" : "false") +
       ",\"trace\":" + (trace ? "true" : "false") +
       ",\"flight_recorder\":" + (flight_recorder ? "true" : "false") +
@@ -185,8 +167,6 @@ ServerOptions ServerOptions::from_json(std::string_view json) {
         opts.max_delay_us = static_cast<int>(in.parse_int());
       } else if (key == "queue_capacity") {
         opts.queue_capacity = static_cast<int>(in.parse_int());
-      } else if (key == "queue_kind") {
-        opts.queue_kind = queue_kind_from_string(in.parse_string());
       } else if (key == "default_deadline_us") {
         opts.default_deadline_us = in.parse_int();
       } else if (key == "start_paused") {
@@ -241,182 +221,6 @@ ServerOptions ServerOptions::from_json(std::string_view json) {
 }
 
 // ---------------------------------------------------------------------------
-// Admission queues. Both implement the same contract so the shed/reject set
-// for a fixed submission order is identical under either queue_kind:
-//  - capacity bounds the TOTAL queued count across the three classes (and
-//    every tenant);
-//  - push under overload evicts the OLDEST request of the STRICTLY LOWEST
-//    class below the newcomer's (or fails with kFull when no such class has
-//    a queued request);
-//  - pop serves the highest class first, FIFO within a class;
-//  - every transition keeps the per-tenant OccupancyTable current (advisory
-//    gauges: see common/occupancy.hpp for the ordering caveats).
-
-struct Server::AdmissionQueue {
-  enum class PushResult {
-    kAdmitted,  ///< req queued, nothing evicted
-    kShed,      ///< req queued; `victim` holds the evicted lower-class request
-    kFull,      ///< req NOT consumed: at capacity with no lower-class victim
-  };
-
-  virtual ~AdmissionQueue() = default;
-  /// Never blocks. On kFull `req` is left intact in the caller (its promise
-  /// is still pending there). `victim` is set only for kShed — except in the
-  /// never-observed defensive branch of the lock-free path, where a victim
-  /// can be popped and the push still refused; callers must resolve a set
-  /// victim regardless of the result.
-  virtual PushResult push(Pending&& req, std::optional<Pending>& victim) = 0;
-  virtual bool pop(Pending& out) = 0;
-  [[nodiscard]] virtual std::size_t size() const = 0;
-
-  static std::unique_ptr<AdmissionQueue> make(QueueKind kind, int capacity,
-                                              common::OccupancyTable* occupancy);
-
-  struct Mutexed;
-  struct LockFree;
-
- protected:
-  static int idx(Priority p) { return static_cast<int>(p); }
-};
-
-/// The fallback: one mutex over three deques. Trivially correct; every
-/// submitter and worker serializes on mu_.
-struct Server::AdmissionQueue::Mutexed final : Server::AdmissionQueue {
-  Mutexed(int capacity, common::OccupancyTable* occupancy)
-      : capacity_(static_cast<std::size_t>(capacity)), occ_(occupancy) {}
-
-  PushResult push(Pending&& req, std::optional<Pending>& victim) override {
-    std::lock_guard<std::mutex> lk(mu_);
-    const int cls = idx(req.priority);
-    const int tenant = req.tenant;
-    if (count_ < capacity_) {
-      classes_[static_cast<std::size_t>(cls)].push_back(std::move(req));
-      ++count_;
-      occ_->inc(tenant);
-      return PushResult::kAdmitted;
-    }
-    for (int c = kPriorityCount - 1; c > cls; --c) {
-      auto& q = classes_[static_cast<std::size_t>(c)];
-      if (q.empty()) continue;
-      victim = std::move(q.front());
-      q.pop_front();
-      occ_->dec(victim->tenant);
-      classes_[static_cast<std::size_t>(cls)].push_back(std::move(req));
-      occ_->inc(tenant);
-      return PushResult::kShed;  // one out, one in: count unchanged
-    }
-    return PushResult::kFull;
-  }
-
-  bool pop(Pending& out) override {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (auto& q : classes_) {
-      if (q.empty()) continue;
-      out = std::move(q.front());
-      q.pop_front();
-      --count_;
-      occ_->dec(out.tenant);
-      return true;
-    }
-    return false;
-  }
-
-  std::size_t size() const override {
-    std::lock_guard<std::mutex> lk(mu_);
-    return count_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::size_t capacity_;
-  common::OccupancyTable* occ_;
-  std::size_t count_ = 0;
-  std::array<std::deque<Pending>, kPriorityCount> classes_;
-};
-
-/// The default: one Vyukov MPMC ring per class plus an atomic total count.
-/// Admission is a CAS on count_ + a ring push; pop walks the class rings in
-/// priority order. Invariant (why ring pushes cannot fail): a ring push only
-/// happens after either count_ was raised under capacity (fast path) or a
-/// victim was popped without lowering count_ (shed path), so the total ring
-/// occupancy never exceeds count_ <= capacity, and every ring is sized
-/// mpmc_capacity_for(capacity + 1) > capacity.
-struct Server::AdmissionQueue::LockFree final : Server::AdmissionQueue {
-  LockFree(int capacity, common::OccupancyTable* occupancy)
-      : capacity_(static_cast<std::size_t>(capacity)), occ_(occupancy),
-        rings_{make_ring_(capacity), make_ring_(capacity), make_ring_(capacity)} {}
-
-  PushResult push(Pending&& req, std::optional<Pending>& victim) override {
-    const int cls = idx(req.priority);
-    const int tenant = req.tenant;
-    std::size_t cur = count_.load(std::memory_order_relaxed);
-    for (;;) {
-      if (cur < capacity_) {
-        if (!count_.compare_exchange_weak(cur, cur + 1)) continue;
-        if (rings_[static_cast<std::size_t>(cls)]->try_push(std::move(req))) {
-          occ_->inc(tenant);
-          return PushResult::kAdmitted;
-        }
-        count_.fetch_sub(1);  // defensive: see the class invariant above
-        return PushResult::kFull;
-      }
-      // At capacity: shed the oldest queued request of the strictly lowest
-      // class below ours. A concurrent worker pop can race this choice; the
-      // determinism guarantee is for a fixed submission order (sequential
-      // submitters / a paused server), which is what the tests pin.
-      for (int c = kPriorityCount - 1; c > cls; --c) {
-        Pending v;
-        if (!rings_[static_cast<std::size_t>(c)]->try_pop(v)) continue;
-        occ_->dec(v.tenant);
-        victim = std::move(v);
-        if (rings_[static_cast<std::size_t>(cls)]->try_push(std::move(req))) {
-          occ_->inc(tenant);
-          return PushResult::kShed;  // one out, one in: count unchanged
-        }
-        count_.fetch_sub(1);  // defensive: victim left, our push refused
-        return PushResult::kFull;
-      }
-      return PushResult::kFull;
-    }
-  }
-
-  bool pop(Pending& out) override {
-    for (auto& ring : rings_) {
-      if (!ring->try_pop(out)) continue;
-      count_.fetch_sub(1, std::memory_order_relaxed);
-      occ_->dec(out.tenant);
-      return true;
-    }
-    return false;
-  }
-
-  std::size_t size() const override {
-    // count_ is raised before the matching ring push lands, so this can
-    // transiently over-report by in-flight pushes — fine for a depth gauge.
-    return count_.load(std::memory_order_relaxed);
-  }
-
- private:
-  using Ring = common::MpmcRing<Pending>;
-  static std::unique_ptr<Ring> make_ring_(int capacity) {
-    return std::make_unique<Ring>(
-        common::mpmc_capacity_for(static_cast<std::size_t>(capacity) + 1));
-  }
-
-  std::size_t capacity_;
-  common::OccupancyTable* occ_;
-  std::atomic<std::size_t> count_{0};
-  std::array<std::unique_ptr<Ring>, kPriorityCount> rings_;
-};
-
-std::unique_ptr<Server::AdmissionQueue> Server::AdmissionQueue::make(
-    QueueKind kind, int capacity, common::OccupancyTable* occupancy) {
-  if (kind == QueueKind::kMutex)
-    return std::make_unique<Mutexed>(capacity, occupancy);
-  return std::make_unique<LockFree>(capacity, occupancy);
-}
-
-// ---------------------------------------------------------------------------
 
 Server::Server(std::vector<TenantInit> tenants, const ServerOptions& opts)
     : opts_(validated(opts)),
@@ -438,11 +242,7 @@ Server::Server(std::vector<TenantInit> tenants, const ServerOptions& opts)
       batch_size_hist_(registry_metrics_.latency_histogram("serve.batch_size")),
       latency_us_hist_(registry_metrics_.latency_histogram("serve.latency_us")),
       queue_us_hist_(registry_metrics_.latency_histogram("serve.queue_us")),
-      paused_(opts_.start_paused),
-      occupancy_(std::make_unique<common::OccupancyTable>(
-          static_cast<int>(tenants.empty() ? 1 : tenants.size()))),
-      queue_(AdmissionQueue::make(opts_.queue_kind, opts_.queue_capacity,
-                                  occupancy_.get())) {
+      paused_(opts_.start_paused) {
   // A tenant without its own engine inherits the server-wide one.
   for (TenantInit& t : tenants)
     if (!t.options.engine) t.options.engine = opts_.engine;
@@ -508,6 +308,7 @@ void Server::init_metrics_and_workers_() {
       std::make_unique<std::atomic<std::uint64_t>[]>(static_cast<std::size_t>(tenants));
   for (int t = 0; t < tenants; ++t)
     shape_keys_[static_cast<std::size_t>(t)].store(0, std::memory_order_relaxed);
+  tenant_queued_.resize(static_cast<std::size_t>(tenants));
   stash_.resize(static_cast<std::size_t>(opts_.workers));
 
   pool_ = std::make_unique<common::ThreadPool>(opts_.workers);
@@ -558,9 +359,48 @@ void Server::check_shape_(int tenant, const nn::Tensor& input) {
       "\"'s established shape " + shape_str(established));
 }
 
-void Server::publish_tenant_depth_(int tenant) {
+Server::Admit Server::push_locked_(Pending&& req, std::optional<Pending>& victim) {
+  const int cls = static_cast<int>(req.priority);
+  const int tenant = req.tenant;
+  Admit result = Admit::kAdmitted;
+  if (queued_ >= static_cast<std::size_t>(opts_.queue_capacity)) {
+    // Shed the oldest request of the strictly lowest class below ours.
+    for (int c = kPriorityCount - 1; c > cls && !victim; --c) {
+      std::deque<Pending>& q = queue_[static_cast<std::size_t>(c)];
+      if (q.empty()) continue;
+      victim = std::move(q.front());
+      q.pop_front();
+      --tenant_queued_[static_cast<std::size_t>(victim->tenant)];
+      publish_depth_locked_(victim->tenant);
+    }
+    if (!victim) return Admit::kFull;
+    result = Admit::kShed;  // one out, one in: queued_ unchanged
+  } else {
+    ++queued_;
+  }
+  queue_[static_cast<std::size_t>(cls)].push_back(std::move(req));
+  ++tenant_queued_[static_cast<std::size_t>(tenant)];
+  publish_depth_locked_(tenant);
+  return result;
+}
+
+bool Server::pop_locked_(Pending& out) {
+  for (std::deque<Pending>& q : queue_) {
+    if (q.empty()) continue;
+    out = std::move(q.front());
+    q.pop_front();
+    --queued_;
+    --tenant_queued_[static_cast<std::size_t>(out.tenant)];
+    publish_depth_locked_(out.tenant);
+    return true;
+  }
+  return false;
+}
+
+void Server::publish_depth_locked_(int tenant) {
+  queue_depth_gauge_.set(static_cast<double>(queued_));
   tenant_metrics_[static_cast<std::size_t>(tenant)].queue_depth->set(
-      static_cast<double>(occupancy_->get(tenant)));
+      static_cast<double>(tenant_queued_[static_cast<std::size_t>(tenant)]));
 }
 
 void Server::note_overload_event_() {
@@ -583,7 +423,6 @@ void Server::resolve_shed_(Pending&& victim, std::uint64_t by_request_id) {
   TenantMetrics& tm = tenant_metrics_[static_cast<std::size_t>(victim.tenant)];
   tm.shed->inc(shard);
   tm.classes[cls].shed->inc(shard);
-  publish_tenant_depth_(victim.tenant);
   note_overload_event_();
   if (flight_)
     flight_->record(submit_flight_shard_(), obs::FlightEventKind::kShed, -1,
@@ -614,6 +453,11 @@ Ticket Server::submit(Request request) {
     throw std::invalid_argument(
         "serve::Request.deadline_us = " + std::to_string(request.deadline_us) +
         " (-1 = server default, 0 = no deadline)");
+  const std::span<const float> values = request.input.data();
+  for (std::size_t i = 0; i < values.size(); ++i)
+    if (!std::isfinite(values[i]))
+      throw std::invalid_argument(
+          "serve::Request.input: non-finite value at element " + std::to_string(i));
   check_shape_(tenant, request.input);
   const std::int64_t deadline_us = request.deadline_us < 0
                                        ? opts_.default_deadline_us
@@ -657,57 +501,44 @@ Ticket Server::submit(Request request) {
   if (req.has_deadline) req.deadline = now + std::chrono::microseconds(deadline_us);
   std::future<Response> fut = req.promise.get_future();
 
-  if (stopping_.load()) {
-    reject(std::move(req.promise), Status::kShutdown, registry_->epoch(tenant));
-    return Ticket(std::move(fut));
-  }
-
-  // The epoch stamp IS the hot-swap barrier: everything admitted after a
-  // swap's release-store resolves on the new generation, everything stamped
-  // before it finishes on the old one. For a fixed submission order the
-  // old/new partition is therefore a pure function of that order.
-  req.epoch = registry_->epoch(tenant);
-
+  // stopping_ is checked under the same lock as the push, so once drain()
+  // has set it no request can enter the queue behind the workers' backs.
   std::optional<Pending> victim;
-  const auto result = queue_->push(std::move(req), victim);
-  // A popped victim resolves kShed whatever happened to our own push (the
-  // defensive lock-free branch can evict one and still refuse us).
+  Admit result = Admit::kFull;
+  bool shutdown = false;
+  std::size_t depth = 0;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    // The epoch stamp IS the hot-swap barrier: everything admitted after a
+    // swap's release-store resolves on the new generation, everything
+    // stamped before it finishes on the old one. For a fixed submission
+    // order the old/new partition is therefore a pure function of that order.
+    req.epoch = registry_->epoch(tenant);
+    shutdown = stopping_.load();
+    if (!shutdown) result = push_locked_(std::move(req), victim);
+    depth = queued_;
+  }
   if (victim) resolve_shed_(std::move(*victim), id);
-
-  if (result == AdmissionQueue::PushResult::kFull) {
-    reject(std::move(req.promise), Status::kQueueFull, req.epoch);
+  if (shutdown || result == Admit::kFull) {
+    reject(std::move(req.promise), shutdown ? Status::kShutdown : Status::kQueueFull,
+           req.epoch);
     return Ticket(std::move(fut));
   }
+  work_cv_.notify_one();
 
-  const std::size_t depth = queue_->size();
-  queue_depth_gauge_.set(static_cast<double>(depth));
   queue_depth_peak_.max(static_cast<double>(depth));
-  publish_tenant_depth_(tenant);
   const int shard = registry_metrics_.this_shard();
   submitted_.inc(shard);
   class_metrics_[cls].submitted->inc(shard);
   TenantMetrics& tm = tenant_metrics_[static_cast<std::size_t>(tenant)];
   tm.submitted->inc(shard);
   tm.classes[cls].submitted->inc(shard);
-  if (result == AdmissionQueue::PushResult::kAdmitted)
+  if (result == Admit::kAdmitted)
     reject_streak_.store(0, std::memory_order_relaxed);  // clean, shed-free admit
   if (flight_)
     flight_->record(submit_flight_shard_(), obs::FlightEventKind::kAdmit, -1, id,
                     0, static_cast<std::uint64_t>(depth),
                     static_cast<std::uint64_t>(cls), {}, tenant);
-  // Deliberately not under mu_: with a lock-free queue the mutex guards only
-  // waits. A wake-up lost in the window between a worker's failed pop and
-  // its wait is recovered by the workers' 1 ms poll backstop.
-  work_cv_.notify_one();
-
-  if (stopping_.load()) {
-    // Rare race: drain() began between our stopping_ check and the push. If
-    // the workers are already gone nobody will pop this request — sweep it
-    // (and any other stragglers) under mu_, serialized with drain()'s own
-    // final sweep. Otherwise a still-running worker or that sweep takes it.
-    std::lock_guard<std::mutex> lk(mu_);
-    if (exited_workers_ == opts_.workers) sweep_shutdown_locked_();
-  }
   return Ticket(std::move(fut));
 }
 
@@ -729,16 +560,28 @@ std::uint64_t Server::swap(std::string_view tenant, std::vector<float> params) {
   return epoch;
 }
 
-void Server::pause() { paused_.store(true); }
+void Server::pause() {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    paused_.store(true);
+  }
+  work_cv_.notify_all();  // a forming batch flushes with what it has
+}
 
 void Server::resume() {
-  paused_.store(false);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    paused_.store(false);
+  }
   work_cv_.notify_all();
 }
 
 bool Server::accepting() const { return !stopping_.load(); }
 
-std::size_t Server::queue_depth() const { return queue_->size(); }
+std::size_t Server::queue_depth() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return queued_;
+}
 
 std::size_t Server::queue_depth(std::string_view tenant) const {
   const int t = registry_->index_of(tenant);
@@ -746,12 +589,13 @@ std::size_t Server::queue_depth(std::string_view tenant) const {
     throw std::invalid_argument("serve::Server::queue_depth: tenant = \"" +
                                 std::string(tenant) + "\" (known tenants: " +
                                 registry_->known_names() + ")");
-  return static_cast<std::size_t>(occupancy_->get(t));
+  std::lock_guard<std::mutex> lk(mu_);
+  return tenant_queued_[static_cast<std::size_t>(t)];
 }
 
 void Server::sweep_shutdown_locked_() {
   Pending req;
-  while (queue_->pop(req)) {
+  while (pop_locked_(req)) {
     Response r;
     r.status = Status::kShutdown;
     r.request_id = req.id;
@@ -762,14 +606,15 @@ void Server::sweep_shutdown_locked_() {
     r.total_us = r.queue_us;
     req.promise.set_value(std::move(r));
   }
-  queue_depth_gauge_.set(0.0);
-  for (int t = 0; t < registry_->count(); ++t) publish_tenant_depth_(t);
 }
 
 void Server::drain() {
   std::lock_guard<std::mutex> serialize(drain_mu_);
-  stopping_.store(true);
-  paused_.store(false);  // a paused server must still complete admitted work
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    stopping_.store(true);
+    paused_.store(false);  // a paused server must still complete admitted work
+  }
   work_cv_.notify_all();
   {
     std::unique_lock<std::mutex> lk(mu_);
@@ -779,9 +624,8 @@ void Server::drain() {
   std::vector<std::future<void>> done = std::move(worker_done_);
   worker_done_.clear();
   {
-    // Catch requests pushed by submitters that raced the shutdown (their
-    // own rare-path sweep and this one serialize on mu_; whoever pops a
-    // straggler resolves it exactly once).
+    // Workers only exit on an empty queue, and no push follows stopping_, so
+    // this finds requests only when a worker loop died with work queued.
     std::lock_guard<std::mutex> lk(mu_);
     sweep_shutdown_locked_();
   }
@@ -826,42 +670,24 @@ bool Server::resolve_if_expired_(Pending& req, int worker, std::uint64_t batch_i
 }
 
 void Server::worker_loop_(int worker) {
-  using namespace std::chrono_literals;
   std::optional<Pending>& stash = stash_[static_cast<std::size_t>(worker)];
   for (;;) {
-    const bool stop = stopping_.load();
-    if (!stop && paused_.load()) {
-      std::unique_lock<std::mutex> lk(mu_);
-      work_cv_.wait_for(lk, 1ms,
-                        [&] { return stopping_.load() || !paused_.load(); });
-      continue;
-    }
     Pending first;
-    bool have = false;
-    if (stash) {
-      // The request that closed the previous batch (other tenant/epoch)
-      // seeds this one. Consumed before the stop-break below, so a worker
-      // never exits with a stashed request pending.
-      first = std::move(*stash);
-      stash.reset();
-      have = true;
-    } else if (queue_->pop(first)) {
-      publish_tenant_depth_(first.tenant);
-      have = true;
-    }
-    if (!have) {
-      if (stop) break;  // draining and the queue is dry: exit
-      // submit() notifies without holding mu_, so a notify landing between
-      // this failed pop and the wait below is lost — the 1 ms timeout is
-      // the backstop that bounds that race instead of a lock on every
-      // submit.
+    {
       std::unique_lock<std::mutex> lk(mu_);
-      work_cv_.wait_for(lk, 1ms, [&] {
-        return stopping_.load() || (!paused_.load() && queue_->size() > 0);
+      work_cv_.wait(lk, [&] {
+        return stopping_.load() || (!paused_.load() && (stash || queued_ > 0));
       });
-      continue;
+      if (stash) {
+        // The request that closed the previous batch (other tenant/epoch)
+        // seeds this one. Consumed before the exit below, so a worker never
+        // exits with a stashed request pending.
+        first = std::move(*stash);
+        stash.reset();
+      } else if (!pop_locked_(first)) {
+        break;  // draining and the queue is dry: exit
+      }
     }
-    queue_depth_gauge_.set(static_cast<double>(queue_->size()));
     form_and_run_(worker, std::move(first));
   }
   {
@@ -872,7 +698,6 @@ void Server::worker_loop_(int worker) {
 }
 
 void Server::form_and_run_(int worker, Pending&& first) {
-  using namespace std::chrono_literals;
   // Open a batch with the first live request, then keep filling it until it
   // is full or max_delay_us has elapsed since it opened. While we wait,
   // submit() wakes us; during drain (or pause) the flush is immediate. A
@@ -896,33 +721,32 @@ void Server::form_and_run_(int worker, Pending&& first) {
   }
   while (static_cast<int>(batch.size()) < opts_.max_batch) {
     Pending req;
-    if (queue_->pop(req)) {
-      publish_tenant_depth_(req.tenant);
-      queue_depth_gauge_.set(static_cast<double>(queue_->size()));
-      if (resolve_if_expired_(req, worker, batch_id, Clock::now())) continue;
-      if (!batch.empty() && (req.tenant != batch.front().tenant ||
-                             req.epoch != batch.front().epoch)) {
-        stash_[static_cast<std::size_t>(worker)] = std::move(req);
-        tenant_switch = true;
-        break;
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      if (queued_ == 0) {
+        if (batch.empty()) break;  // everything popped so far had expired
+        if (opts_.max_delay_us == 0) break;
+        if (!work_cv_.wait_until(lk, flush_at, [&] {
+              return stopping_.load() || paused_.load() || queued_ > 0;
+            })) {
+          window_elapsed = true;
+          break;
+        }
+        if (queued_ == 0) break;  // stopping or paused: flush now
       }
-      if (flight_)
-        flight_->record(worker, obs::FlightEventKind::kPop, worker, req.id,
-                        batch_id, 0, 0, {}, req.tenant);
-      batch.push_back(std::move(req));
-      continue;
+      pop_locked_(req);
     }
-    if (batch.empty()) break;  // everything popped so far had expired
-    if (stopping_.load() || paused_.load() || opts_.max_delay_us == 0) break;
-    const Clock::time_point now = Clock::now();
-    if (now >= flush_at) {
-      window_elapsed = true;
+    if (resolve_if_expired_(req, worker, batch_id, Clock::now())) continue;
+    if (!batch.empty() && (req.tenant != batch.front().tenant ||
+                           req.epoch != batch.front().epoch)) {
+      stash_[static_cast<std::size_t>(worker)] = std::move(req);
+      tenant_switch = true;
       break;
     }
-    std::unique_lock<std::mutex> lk(mu_);
-    // Wait in <= 1 ms slices (same lost-notify backstop as the idle loop).
-    work_cv_.wait_until(lk, std::min(flush_at, now + 1ms),
-                        [&] { return stopping_.load() || queue_->size() > 0; });
+    if (flight_)
+      flight_->record(worker, obs::FlightEventKind::kPop, worker, req.id,
+                      batch_id, 0, 0, {}, req.tenant);
+    batch.push_back(std::move(req));
   }
 
   if (flight_ && !batch.empty()) {

@@ -2,7 +2,7 @@
 // inference stack.
 //
 // serve::Server is the shared front door for one OR SEVERAL models: a
-// bounded MPMC request queue feeding a ModelRegistry of named tenants, each
+// bounded request queue feeding a ModelRegistry of named tenants, each
 // a (checkpoint × EngineConfig × shard count) entry with its own pool of
 // bit-interchangeable sessions, all multiplexed over one worker pool. The
 // shape mirrors the paper's BISC-MVM argument (Sec. 3): throughput comes
@@ -20,11 +20,10 @@
 //    either sheds a queued lower-class request (see below) or rejects the
 //    newcomer with Status::kQueueFull (backpressure, never a silent drop);
 //    a drained server rejects with Status::kShutdown.
-//  - Queue kind (options().queue_kind): the admission queue is either the
-//    classic mutex-guarded deque set (kMutex) or a set of lock-free Vyukov
-//    MPMC rings (kLockFree, the default — see common/mpmc_ring.hpp). The
-//    two are bit-interchangeable: same admission semantics, same logits,
-//    A/B'd in bench_serve under a bit-exactness gate.
+//  - One lock: the admission queue is a deque per priority class plus the
+//    total and per-tenant queued counts, all guarded by the server's own
+//    mutex. Push, pop, shed and every worker wait predicate share that
+//    lock, so no wake-up can be lost and the per-tenant depths are exact.
 //  - Priority classes: every request carries a Priority {kHigh, kNormal,
 //    kBatch}. Workers serve strictly highest-class-first, FIFO within a
 //    class, regardless of tenant. Under overload an arriving request evicts
@@ -33,8 +32,7 @@
 //    kBatch; kBatch never sheds anyone and takes the kQueueFull itself).
 //    The victim resolves with Status::kShed. Given one submission order,
 //    the shed/reject set is a pure function of that order — independent of
-//    worker count, queue kind, and tenant mix — which serve_test pins
-//    across runs.
+//    worker count and tenant mix — which serve_test pins across runs.
 //  - Batching: a worker pops the first waiting request, then keeps popping
 //    until it has max_batch requests or max_delay_us has elapsed since the
 //    batch opened. A popped request belonging to a different (tenant,
@@ -70,8 +68,8 @@
 //    plus the same counters and a latency histogram per priority class
 //    under serve.<class>.* (class ∈ high|normal|batch), and per tenant
 //    under serve.<tenant>.* (with nested serve.<tenant>.<class>.* and a
-//    serve.<tenant>.queue_depth gauge fed by per-tenant ring occupancy
-//    accounting, plus serve.<tenant>.epoch / serve.<tenant>.swaps for the
+//    serve.<tenant>.queue_depth gauge fed by the exact per-tenant queued
+//    count, plus serve.<tenant>.epoch / serve.<tenant>.swaps for the
 //    hot-swap trajectory).
 //  - Traces (opt-in, options().trace): submit() mints a monotonic request
 //    id; the server's obs::Tracer records an id-correlated span tree per
@@ -91,10 +89,12 @@
 //    fingerprint that tools/bench_compare diffs PR-over-PR.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -105,7 +105,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/occupancy.hpp"
 #include "common/thread_pool.hpp"
 #include "nn/inference_session.hpp"
 #include "nn/tensor.hpp"
@@ -147,18 +146,6 @@ inline constexpr int kPriorityCount = 3;
 /// Parses "high" | "normal" | "batch"; throws std::invalid_argument naming
 /// the value otherwise.
 [[nodiscard]] Priority priority_from_string(std::string_view s);
-
-/// Which admission-queue implementation the server runs (see the header
-/// comment; semantics are identical, bench_serve A/Bs throughput).
-enum class QueueKind : std::uint8_t {
-  kMutex = 0,     ///< one mutex over per-class deques (the fallback)
-  kLockFree = 1,  ///< per-class lock-free Vyukov MPMC rings (the default)
-};
-
-[[nodiscard]] std::string to_string(QueueKind k);
-/// Parses "mutex" | "lockfree"; throws std::invalid_argument naming the
-/// value otherwise.
-[[nodiscard]] QueueKind queue_kind_from_string(std::string_view s);
 
 /// One admission request — THE submit() argument (designated-initializer
 /// friendly; the old positional submit(tensor, deadline, priority)
@@ -223,7 +210,6 @@ struct ServerOptions {
   int max_delay_us = 200;   ///< ... or this long after the batch opened
   int queue_capacity = 64;  ///< bounded admission queue, summed over all
                             ///< priority classes and tenants (backpressure)
-  QueueKind queue_kind = QueueKind::kLockFree;  ///< admission queue impl
   std::int64_t default_deadline_us = 0;  ///< 0 = requests never expire
   /// Default engine for tenants that don't set TenantOptions::engine
   /// (nullopt = float mode). `threads` and `instrument` inside it are
@@ -298,7 +284,8 @@ class Server {
   /// c/h/w must match every other request OF THE SAME TENANT — the tenant's
   /// first submitted request establishes its shape, and a mismatch throws
   /// std::invalid_argument naming both shapes, even when the queue is full
-  /// or the server is draining).
+  /// or the server is draining; a non-finite input value throws naming its
+  /// element index, before any counter or queue slot moves).
   /// Never blocks: a full queue resolves the returned Ticket immediately
   /// with kQueueFull (after trying to shed a strictly-lower-priority queued
   /// request, whose own ticket then resolves kShed); a draining server
@@ -307,8 +294,9 @@ class Server {
 
   /// Publish `params` as `tenant`'s next checkpoint generation (mid-flight
   /// hot swap; see the header comment for the epoch barrier) and return the
-  /// new epoch. Throws std::invalid_argument on an unknown tenant or a
-  /// parameter-count mismatch. Thread-safe; callable while serving.
+  /// new epoch. Throws std::invalid_argument on an unknown tenant, a
+  /// parameter-count mismatch or a non-finite parameter. Thread-safe;
+  /// callable while serving.
   std::uint64_t swap(std::string_view tenant, std::vector<float> params);
 
   /// Stop opening new batches (requests keep being admitted and shed; a
@@ -328,7 +316,7 @@ class Server {
   [[nodiscard]] bool accepting() const;
 
   [[nodiscard]] std::size_t queue_depth() const;
-  /// Queued requests of one tenant (advisory per-tenant occupancy).
+  /// Queued requests of one tenant (exact: counted under the queue's lock).
   [[nodiscard]] std::size_t queue_depth(std::string_view tenant) const;
   [[nodiscard]] const ServerOptions& options() const { return opts_; }
   [[nodiscard]] int workers() const { return opts_.workers; }
@@ -370,11 +358,11 @@ class Server {
     std::promise<Response> promise;
   };
 
-  /// Admission-queue strategy: per-class FIFO with a shared capacity,
-  /// lowest-class-first shedding, and per-tenant occupancy accounting.
-  /// Two implementations in server.cpp — MutexAdmissionQueue and
-  /// LockFreeAdmissionQueue — selected by ServerOptions::queue_kind.
-  struct AdmissionQueue;
+  enum class Admit {
+    kAdmitted,  ///< queued, nothing evicted
+    kShed,      ///< queued; the evicted lower-class request is in `victim`
+    kFull,      ///< NOT queued: at capacity with no lower-class victim
+  };
 
   /// Per-priority-class counter/histogram bundle (serve.<class>.* and
   /// serve.<tenant>.<class>.*).
@@ -415,12 +403,20 @@ class Server {
   /// Count one overload event (kQueueFull reject or kShed eviction) toward
   /// the reject-burst forensic dump.
   void note_overload_event_();
+  /// Queue `req` under the shared capacity, evicting the oldest request of
+  /// the strictly lowest class below its own when full. On kFull `req` is
+  /// left intact. Caller holds mu_.
+  Admit push_locked_(Pending&& req, std::optional<Pending>& victim);
+  /// Pop the oldest request of the highest non-empty class; false when the
+  /// queue is empty. Caller holds mu_.
+  bool pop_locked_(Pending& out);
+  /// Publish the total and `tenant`'s queue-depth gauges. Caller holds mu_.
+  void publish_depth_locked_(int tenant);
   /// Pop every queued request and resolve it kShutdown. Caller holds mu_.
   void sweep_shutdown_locked_();
   /// CAS-establish / validate the tenant's admitted input shape. Throws
   /// std::invalid_argument naming both shapes on a mismatch.
   void check_shape_(int tenant, const nn::Tensor& input);
-  void publish_tenant_depth_(int tenant);
   /// Shard index for submit-path flight events (workers own shards
   /// [0, workers); submitters hash onto the tail shards).
   [[nodiscard]] int submit_flight_shard_() const;
@@ -454,24 +450,23 @@ class Server {
   /// submit so concurrent first submits agree without a lock.
   std::unique_ptr<std::atomic<std::uint64_t>[]> shape_keys_;
 
+  // The admission queue and the serving state, all guarded by mu_. paused_
+  // and stopping_ are atomic only so accepting() and flush-reason reads can
+  // skip the lock; every write and every wait predicate holds mu_.
+  mutable std::mutex mu_;
+  std::condition_variable work_cv_;  // workers: work available / state change
+  std::condition_variable idle_cv_;  // drain(): all workers exited
   std::atomic<bool> paused_{false};
   std::atomic<bool> stopping_{false};
-
-  /// Queued-request count per tenant, maintained by the admission queue on
-  /// every push/pop/shed (see common/occupancy.hpp).
-  std::unique_ptr<common::OccupancyTable> occupancy_;
-  std::unique_ptr<AdmissionQueue> queue_;
+  std::array<std::deque<Pending>, kPriorityCount> queue_;  // FIFO per class
+  std::size_t queued_ = 0;                   // total, <= queue_capacity
+  std::vector<std::size_t> tenant_queued_;   // per tenant, sums to queued_
+  int exited_workers_ = 0;
   /// One slot per worker: the request that closed the previous batch
   /// because its (tenant, epoch) differed — it seeds the next batch. Only
   /// its owning worker touches a slot, and workers consume their stash
   /// before exiting, so drain() still completes every admitted request.
   std::vector<std::optional<Pending>> stash_;
-
-  mutable std::mutex mu_;            // condvar waits + shutdown sweep only;
-                                     // queue ops themselves are queue_'s
-  std::condition_variable work_cv_;  // workers: work available / state change
-  std::condition_variable idle_cv_;  // drain(): all workers exited
-  int exited_workers_ = 0;           // guarded by mu_
 
   std::mutex drain_mu_;  // serializes drain() callers
   std::vector<std::future<void>> worker_done_;

@@ -101,7 +101,6 @@ TEST(ServerOptionsJson, DefaultRoundTripsExactly) {
   const ServerOptions round = ServerOptions::from_json(opts.to_json());
   EXPECT_EQ(round.to_json(), opts.to_json());
   EXPECT_EQ(round.workers, opts.workers);
-  EXPECT_EQ(round.queue_kind, QueueKind::kLockFree);
   EXPECT_TRUE(round.tenants.empty());
   EXPECT_FALSE(round.engine.has_value());
 }
@@ -113,7 +112,6 @@ TEST(ServerOptionsJson, MultiTenantDeploymentRoundTripsExactly) {
   opts.max_batch = 16;
   opts.max_delay_us = 250;
   opts.queue_capacity = 512;
-  opts.queue_kind = QueueKind::kMutex;
   opts.default_deadline_us = 50'000;
   opts.start_paused = true;
   opts.trace = true;
@@ -135,7 +133,6 @@ TEST(ServerOptionsJson, MultiTenantDeploymentRoundTripsExactly) {
   const ServerOptions round = ServerOptions::from_json(opts.to_json());
   EXPECT_EQ(round.to_json(), opts.to_json());
   EXPECT_EQ(round.workers, 4);
-  EXPECT_EQ(round.queue_kind, QueueKind::kMutex);
   EXPECT_EQ(round.flight_dump_prefix, "deploy_flight");
   ASSERT_TRUE(round.engine.has_value());
   EXPECT_EQ(round.engine->n_bits, 8);
@@ -155,7 +152,9 @@ TEST(ServerOptionsJson, ParseErrorsNameTheOffendingToken) {
   expect_parse_error<ServerOptions>("{\"bogus\":1}", "unknown key \"bogus\"");
   expect_parse_error<ServerOptions>("{\"workers\":\"two\"}",
                                     "expected an integer");
-  expect_parse_error<ServerOptions>("{\"queue_kind\":\"stack\"}", "stack");
+  // The admission queue has one implementation; the old selector key is gone.
+  expect_parse_error<ServerOptions>("{\"queue_kind\":\"mutex\"}",
+                                    "unknown key \"queue_kind\"");
   expect_parse_error<ServerOptions>("{\"start_paused\":maybe}",
                                     "expected true or false");
   expect_parse_error<ServerOptions>("{\"tenants\":[{\"name\":\"a\"}",

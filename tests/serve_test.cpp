@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -90,24 +91,28 @@ std::uint64_t counter_total(obs::Registry& r, const char* name) {
 }
 
 TEST(Serve, ServedLogitsBitIdenticalToDirectForward) {
-  ServerOptions opts = base_options();
-  opts.workers = 2;
-  Server server(make_server(opts));
-  std::vector<Ticket> tickets;
-  for (int i = 0; i < 12; ++i) tickets.push_back(server.submit({.input = sample(i)}));
-  for (int i = 0; i < 12; ++i) {
-    Response r = tickets[static_cast<std::size_t>(i)].get();
-    ASSERT_EQ(r.status, Status::kOk) << "request " << i << ": " << r.error;
-    EXPECT_TRUE(bit_identical(r.logits, reference_logits()[static_cast<std::size_t>(i)]))
-        << "request " << i;
-    EXPECT_GE(r.batch_size, 1);
-    EXPECT_LE(r.batch_size, opts.max_batch);
-    EXPECT_GE(r.predicted, 0);
-    EXPECT_GE(r.total_us, r.run_us);
+  for (const int workers : {1, 2}) {
+    ServerOptions opts = base_options();
+    opts.workers = workers;
+    Server server(make_server(opts));
+    std::vector<Ticket> tickets;
+    for (int i = 0; i < 12; ++i) tickets.push_back(server.submit({.input = sample(i)}));
+    for (int i = 0; i < 12; ++i) {
+      Response r = tickets[static_cast<std::size_t>(i)].get();
+      ASSERT_EQ(r.status, Status::kOk)
+          << "workers=" << workers << " request " << i << ": " << r.error;
+      EXPECT_TRUE(bit_identical(r.logits, reference_logits()[static_cast<std::size_t>(i)]))
+          << "workers=" << workers << " request " << i;
+      EXPECT_GE(r.batch_size, 1);
+      EXPECT_LE(r.batch_size, opts.max_batch);
+      EXPECT_GE(r.predicted, 0);
+      EXPECT_GE(r.total_us, r.run_us);
+    }
+    server.drain();
+    EXPECT_EQ(counter_total(server.metrics(), "serve.submitted"), 12u) << workers;
+    EXPECT_EQ(counter_total(server.metrics(), "serve.completed"), 12u) << workers;
+    EXPECT_EQ(counter_total(server.metrics(), "serve.rejected"), 0u) << workers;
   }
-  EXPECT_EQ(counter_total(server.metrics(), "serve.submitted"), 12u);
-  EXPECT_EQ(counter_total(server.metrics(), "serve.completed"), 12u);
-  EXPECT_EQ(counter_total(server.metrics(), "serve.rejected"), 0u);
 }
 
 TEST(Serve, FullQueueRejectsWithQueueFullAndNeverBlocks) {
@@ -197,6 +202,58 @@ TEST(Serve, DrainCompletesAllAdmittedThenRejectsWithShutdown) {
   ASSERT_TRUE(late.ready());
   EXPECT_EQ(late.get().status, Status::kShutdown);
   server.drain();  // idempotent
+}
+
+// Submitters racing drain(): the stopping check and the push share the
+// queue's lock, so every ticket resolves exactly once — kOk when admitted
+// before drain() began, kShutdown after — and drain() never strands one.
+TEST(Serve, SubmittersRacingDrainResolveEveryTicketExactlyOnce) {
+  for (int round = 0; round < 8; ++round) {
+    ServerOptions opts = base_options();
+    opts.workers = 1 + round % 2;
+    opts.queue_capacity = 4096;  // > every submit below: no kQueueFull
+    Server server(make_server(opts));
+
+    constexpr int kThreads = 4;
+    std::atomic<int> started{0};
+    std::vector<std::vector<Ticket>> tickets(kThreads);
+    std::vector<std::thread> submitters;
+    for (int c = 0; c < kThreads; ++c) {
+      submitters.emplace_back([&, c] {
+        // Submit until one submit certainly follows drain(): every thread
+        // ends on a kShutdown, and the submits before it race drain().
+        for (int i = 0;; ++i) {
+          const bool was_accepting = server.accepting();
+          tickets[static_cast<std::size_t>(c)].push_back(
+              server.submit({.input = sample((c + 4 * i) % 32)}));
+          started.fetch_add(1);
+          if (!was_accepting) break;
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+      });
+    }
+    while (started.load() < 8 * kThreads) std::this_thread::yield();
+    server.drain();
+    for (std::thread& t : submitters) t.join();
+
+    std::uint64_t submits = 0, ok = 0, shutdown = 0;
+    for (std::vector<Ticket>& per_thread : tickets) {
+      for (Ticket& t : per_thread) {
+        ++submits;
+        ASSERT_TRUE(t.ready()) << "round " << round << ": drain() left a ticket open";
+        const Response r = t.get();
+        ASSERT_TRUE(r.status == Status::kOk || r.status == Status::kShutdown)
+            << "round " << round << ": " << to_string(r.status);
+        ++(r.status == Status::kOk ? ok : shutdown);
+      }
+    }
+    EXPECT_EQ(counter_total(server.metrics(), "serve.completed"), ok) << round;
+    EXPECT_EQ(counter_total(server.metrics(), "serve.submitted"), ok) << round;
+    EXPECT_EQ(counter_total(server.metrics(), "serve.completed") + shutdown, submits)
+        << round;
+    EXPECT_GE(shutdown, static_cast<std::uint64_t>(kThreads)) << round;
+    EXPECT_EQ(server.queue_depth(), 0u) << round;
+  }
 }
 
 TEST(Serve, DestructorDrainsAdmittedRequests) {
@@ -324,37 +381,36 @@ TEST(Serve, ShapeMismatchThrowsEvenWhenQueueFullOrDraining) {
 }
 
 // ---------------------------------------------------------------------------
-// Admission queue kinds and priority classes
+// Admission queue and priority classes
 // ---------------------------------------------------------------------------
 
-TEST(Serve, BothQueueKindsBitIdenticalToDirectForward) {
-  for (const QueueKind kind : {QueueKind::kMutex, QueueKind::kLockFree}) {
-    ServerOptions opts = base_options();
-    opts.queue_kind = kind;
-    opts.workers = 2;
-    Server server(make_server(opts));
-    std::vector<Ticket> tickets;
-    for (int i = 0; i < 12; ++i) tickets.push_back(server.submit({.input = sample(i)}));
-    for (int i = 0; i < 12; ++i) {
-      Response r = tickets[static_cast<std::size_t>(i)].get();
-      ASSERT_EQ(r.status, Status::kOk)
-          << to_string(kind) << " request " << i << ": " << r.error;
-      EXPECT_TRUE(bit_identical(r.logits,
-                                reference_logits()[static_cast<std::size_t>(i)]))
-          << to_string(kind) << " request " << i;
-    }
-    server.drain();
-    EXPECT_EQ(counter_total(server.metrics(), "serve.completed"), 12u)
-        << to_string(kind);
+// Requests of every class, interleaved, through the one admission queue:
+// whichever class a worker pops first, each response is bit-identical to a
+// direct forward of its own input.
+TEST(Serve, AdmissionQueueBitIdenticalToDirectForwardAcrossClasses) {
+  constexpr Priority kClasses[] = {Priority::kHigh, Priority::kNormal, Priority::kBatch};
+  ServerOptions opts = base_options();
+  opts.workers = 2;
+  Server server(make_server(opts));
+  std::vector<Ticket> tickets;
+  for (int i = 0; i < 12; ++i)
+    tickets.push_back(server.submit({.input = sample(i), .priority = kClasses[i % 3]}));
+  for (int i = 0; i < 12; ++i) {
+    Response r = tickets[static_cast<std::size_t>(i)].get();
+    ASSERT_EQ(r.status, Status::kOk) << "request " << i << ": " << r.error;
+    EXPECT_TRUE(bit_identical(r.logits, reference_logits()[static_cast<std::size_t>(i)]))
+        << "request " << i;
   }
+  server.drain();
+  EXPECT_EQ(counter_total(server.metrics(), "serve.completed"), 12u);
 }
 
 // The shedding contract, pinned: under overload an arriving request evicts
 // the OLDEST queued request of the STRICTLY LOWEST class below its own
 // (batch before normal, FIFO within class); with no lower class queued it is
 // rejected kQueueFull. The reject/shed set is a pure function of arrival
-// order — identical across repeated runs, both queue kinds, and worker
-// counts (workers are paused during admission, so they cannot race it).
+// order — identical across repeated runs and worker counts (workers are
+// paused during admission, so they cannot race it).
 TEST(Serve, SheddingIsDeterministicAndStrictlyLowestClassFirst) {
   struct Sub {
     Priority priority;
@@ -379,53 +435,52 @@ TEST(Serve, SheddingIsDeterministicAndStrictlyLowestClassFirst) {
       {Priority::kHigh, Status::kQueueFull},   // h4
       {Priority::kBatch, Status::kQueueFull},  // b3
   };
-  for (const QueueKind kind : {QueueKind::kMutex, QueueKind::kLockFree}) {
-    for (const int workers : {1, 4}) {
-      for (int run = 0; run < 10; ++run) {
-        ServerOptions opts = base_options();
-        opts.queue_kind = kind;
-        opts.workers = workers;
-        opts.queue_capacity = 3;
-        opts.start_paused = true;
-        Server server(make_server(opts));
+  for (const int workers : {1, 4}) {
+    for (int run = 0; run < 10; ++run) {
+      ServerOptions opts = base_options();
+      opts.workers = workers;
+      opts.queue_capacity = 3;
+      opts.start_paused = true;
+      Server server(make_server(opts));
 
-        std::vector<Ticket> tickets;
-        for (std::size_t i = 0; i < script.size(); ++i)
-          tickets.push_back(server.submit({.input = sample(static_cast<int>(i)),
-                                           .priority = script[i].priority}));
-        // Shed and rejected requests resolve before any worker runs.
-        for (std::size_t i = 0; i < script.size(); ++i) {
-          if (script[i].expected != Status::kOk) {
-            ASSERT_TRUE(tickets[i].ready())
-                << to_string(kind) << " workers=" << workers << " run=" << run
-                << " submission " << i;
-          }
-        }
-        server.resume();
-        server.drain();
-
-        for (std::size_t i = 0; i < script.size(); ++i) {
-          const Response r = tickets[i].get();
-          ASSERT_EQ(r.status, script[i].expected)
-              << to_string(kind) << " workers=" << workers << " run=" << run
-              << " submission " << i;
-          EXPECT_EQ(r.priority, script[i].priority) << "submission " << i;
-          if (script[i].expected == Status::kOk) {
-            EXPECT_TRUE(bit_identical(r.logits, reference_logits()[i]))
-                << "submission " << i;
-          }
-          // kHigh is never shed: there is no higher class to shed it.
-          if (script[i].priority == Priority::kHigh) {
-            ASSERT_NE(r.status, Status::kShed) << "submission " << i;
-          }
-        }
-        EXPECT_EQ(counter_total(server.metrics(), "serve.shed"), 4u);
-        EXPECT_EQ(counter_total(server.metrics(), "serve.batch.shed"), 2u);
-        EXPECT_EQ(counter_total(server.metrics(), "serve.normal.shed"), 2u);
-        EXPECT_EQ(counter_total(server.metrics(), "serve.high.shed"), 0u);
-        EXPECT_EQ(counter_total(server.metrics(), "serve.rejected"), 2u);
-        EXPECT_EQ(counter_total(server.metrics(), "serve.high.completed"), 3u);
+      std::vector<Ticket> tickets;
+      for (std::size_t i = 0; i < script.size(); ++i) {
+        tickets.push_back(server.submit({.input = sample(static_cast<int>(i)),
+                                         .priority = script[i].priority}));
+        // Paused, the per-tenant depths sum exactly to the total.
+        EXPECT_EQ(server.queue_depth("default"), server.queue_depth())
+            << "workers=" << workers << " run=" << run << " submission " << i;
       }
+      // Shed and rejected requests resolve before any worker runs.
+      for (std::size_t i = 0; i < script.size(); ++i) {
+        if (script[i].expected != Status::kOk) {
+          ASSERT_TRUE(tickets[i].ready())
+              << "workers=" << workers << " run=" << run << " submission " << i;
+        }
+      }
+      server.resume();
+      server.drain();
+
+      for (std::size_t i = 0; i < script.size(); ++i) {
+        const Response r = tickets[i].get();
+        ASSERT_EQ(r.status, script[i].expected)
+            << "workers=" << workers << " run=" << run << " submission " << i;
+        EXPECT_EQ(r.priority, script[i].priority) << "submission " << i;
+        if (script[i].expected == Status::kOk) {
+          EXPECT_TRUE(bit_identical(r.logits, reference_logits()[i]))
+              << "submission " << i;
+        }
+        // kHigh is never shed: there is no higher class to shed it.
+        if (script[i].priority == Priority::kHigh) {
+          ASSERT_NE(r.status, Status::kShed) << "submission " << i;
+        }
+      }
+      EXPECT_EQ(counter_total(server.metrics(), "serve.shed"), 4u);
+      EXPECT_EQ(counter_total(server.metrics(), "serve.batch.shed"), 2u);
+      EXPECT_EQ(counter_total(server.metrics(), "serve.normal.shed"), 2u);
+      EXPECT_EQ(counter_total(server.metrics(), "serve.high.shed"), 0u);
+      EXPECT_EQ(counter_total(server.metrics(), "serve.rejected"), 2u);
+      EXPECT_EQ(counter_total(server.metrics(), "serve.high.completed"), 3u);
     }
   }
 }
@@ -855,52 +910,47 @@ std::vector<float> perturbed_params(float scale = 0.5f) {
 
 // Two tenants with different arithmetic (proposed 8-bit vs fixed 10-bit)
 // served concurrently over one worker pool: every response must be
-// bit-identical to ITS tenant's direct single-session forward, across both
-// queue kinds and 1/4 workers.
+// bit-identical to ITS tenant's direct single-session forward, with 1 and 4
+// workers.
 TEST(ServeMultiTenant, TenantsWithDifferentEnginesServeBitIsolated) {
   const std::vector<Tensor> alpha_ref = direct_logits(test_engine());
   const std::vector<Tensor> beta_ref = direct_logits(beta_engine());
   ASSERT_FALSE(bit_identical(alpha_ref[0], beta_ref[0]))
       << "engines must actually differ for isolation to be observable";
-  for (const QueueKind kind : {QueueKind::kMutex, QueueKind::kLockFree}) {
-    for (const int workers : {1, 4}) {
-      ServerOptions opts = base_options();
-      opts.queue_kind = kind;
-      opts.workers = workers;
-      opts.queue_capacity = 256;
-      std::vector<TenantInit> tenants;
-      tenants.push_back(make_tenant("alpha", test_engine()));
-      tenants.push_back(make_tenant("beta", beta_engine()));
-      Server server(std::move(tenants), opts);
-      ASSERT_EQ(server.registry().count(), 2);
-      std::vector<Ticket> a, b;
-      for (int i = 0; i < 12; ++i) {  // interleaved admission order
-        a.push_back(server.submit({.tenant = "alpha", .input = sample(i)}));
-        b.push_back(server.submit({.tenant = "beta", .input = sample(i)}));
-      }
-      for (std::size_t i = 0; i < 12; ++i) {
-        Response ra = a[i].get();
-        Response rb = b[i].get();
-        ASSERT_EQ(ra.status, Status::kOk)
-            << to_string(kind) << " workers=" << workers << " alpha " << i
-            << ": " << ra.error;
-        ASSERT_EQ(rb.status, Status::kOk)
-            << to_string(kind) << " workers=" << workers << " beta " << i
-            << ": " << rb.error;
-        EXPECT_EQ(ra.tenant, "alpha");
-        EXPECT_EQ(rb.tenant, "beta");
-        EXPECT_EQ(ra.epoch, 0u);
-        EXPECT_EQ(rb.epoch, 0u);
-        EXPECT_TRUE(bit_identical(ra.logits, alpha_ref[i]))
-            << to_string(kind) << " workers=" << workers << " alpha " << i;
-        EXPECT_TRUE(bit_identical(rb.logits, beta_ref[i]))
-            << to_string(kind) << " workers=" << workers << " beta " << i;
-      }
-      server.drain();
-      EXPECT_EQ(counter_total(server.metrics(), "serve.alpha.completed"), 12u);
-      EXPECT_EQ(counter_total(server.metrics(), "serve.beta.completed"), 12u);
-      EXPECT_EQ(counter_total(server.metrics(), "serve.completed"), 24u);
+  for (const int workers : {1, 4}) {
+    ServerOptions opts = base_options();
+    opts.workers = workers;
+    opts.queue_capacity = 256;
+    std::vector<TenantInit> tenants;
+    tenants.push_back(make_tenant("alpha", test_engine()));
+    tenants.push_back(make_tenant("beta", beta_engine()));
+    Server server(std::move(tenants), opts);
+    ASSERT_EQ(server.registry().count(), 2);
+    std::vector<Ticket> a, b;
+    for (int i = 0; i < 12; ++i) {  // interleaved admission order
+      a.push_back(server.submit({.tenant = "alpha", .input = sample(i)}));
+      b.push_back(server.submit({.tenant = "beta", .input = sample(i)}));
     }
+    for (std::size_t i = 0; i < 12; ++i) {
+      Response ra = a[i].get();
+      Response rb = b[i].get();
+      ASSERT_EQ(ra.status, Status::kOk)
+          << "workers=" << workers << " alpha " << i << ": " << ra.error;
+      ASSERT_EQ(rb.status, Status::kOk)
+          << "workers=" << workers << " beta " << i << ": " << rb.error;
+      EXPECT_EQ(ra.tenant, "alpha");
+      EXPECT_EQ(rb.tenant, "beta");
+      EXPECT_EQ(ra.epoch, 0u);
+      EXPECT_EQ(rb.epoch, 0u);
+      EXPECT_TRUE(bit_identical(ra.logits, alpha_ref[i]))
+          << "workers=" << workers << " alpha " << i;
+      EXPECT_TRUE(bit_identical(rb.logits, beta_ref[i]))
+          << "workers=" << workers << " beta " << i;
+    }
+    server.drain();
+    EXPECT_EQ(counter_total(server.metrics(), "serve.alpha.completed"), 12u);
+    EXPECT_EQ(counter_total(server.metrics(), "serve.beta.completed"), 12u);
+    EXPECT_EQ(counter_total(server.metrics(), "serve.completed"), 24u);
   }
 }
 
@@ -1018,6 +1068,18 @@ TEST(ServeMultiTenant, InvalidRequestFieldsThrowNamingTheField) {
   expect_throw({.input = Tensor(2, 1, 28, 28)}, "serve::Request.input");
   expect_throw({.input = sample(0), .deadline_us = -2},
                "serve::Request.deadline_us = -2");
+  Tensor nan_input = sample(0);
+  nan_input.data()[17] = std::numeric_limits<float>::quiet_NaN();
+  expect_throw({.input = nan_input},
+               "serve::Request.input: non-finite value at element 17");
+  Tensor inf_input = sample(0);
+  inf_input.data()[300] = std::numeric_limits<float>::infinity();
+  expect_throw({.input = inf_input},
+               "serve::Request.input: non-finite value at element 300");
+  // Rejected before admission: no counter or queue slot moved.
+  EXPECT_EQ(counter_total(server.metrics(), "serve.submitted"), 0u);
+  EXPECT_EQ(counter_total(server.metrics(), "serve.rejected"), 0u);
+  EXPECT_EQ(server.queue_depth(), 0u);
   // A caller-chosen correlation id is honored verbatim.
   Response r = server.submit({.input = sample(0), .request_id = 777}).get();
   EXPECT_EQ(r.status, Status::kOk);
@@ -1036,10 +1098,29 @@ TEST(ServeMultiTenant, SwapValidatesTenantAndParameterCount) {
     EXPECT_NE(msg.find("3 parameters"), std::string::npos) << msg;
     EXPECT_NE(msg.find("expected"), std::string::npos) << msg;
   }
-  // Failed swaps leave the registry untouched and the server serving.
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    std::vector<float> poisoned = perturbed_params();
+    poisoned[5] = bad;
+    try {
+      server.swap("default", std::move(poisoned));
+      FAIL() << "expected invalid_argument naming the non-finite element";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("tenant \"default\""), std::string::npos) << msg;
+      EXPECT_NE(msg.find("non-finite parameter at element 5"), std::string::npos)
+          << msg;
+    }
+  }
+  // Failed swaps leave the registry untouched and the server serving the
+  // old generation bit-exactly.
   EXPECT_EQ(server.registry().epoch(0), 0u);
   EXPECT_EQ(server.registry().generation_count(0), 1u);
-  EXPECT_EQ(server.submit({.input = sample(0)}).get().status, Status::kOk);
+  EXPECT_EQ(counter_total(server.metrics(), "serve.default.swaps"), 0u);
+  const Response r = server.submit({.input = sample(0)}).get();
+  EXPECT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(r.epoch, 0u);
+  EXPECT_TRUE(bit_identical(r.logits, reference_logits()[0]));
 }
 
 TEST(ServeObservability, InvalidFlightOptionsThrow) {

@@ -11,8 +11,8 @@
 //   scnn_cli serve  [digits|objects] [--ckpt=FILE] [--bits=N] [--accum=A]
 //                   [--engine=...] [--tenants=FILE] [--requests=N]
 //                   [--concurrency=C] [--max-batch=B] [--max-delay-us=U]
-//                   [--queue-cap=Q] [--queue=lockfree|mutex]
-//                   [--priority=high|normal|batch|mixed] [--workers=W]
+//                   [--queue-cap=Q] [--priority=high|normal|batch|mixed]
+//                   [--workers=W]
 //                   [--session-threads=T] [--deadline-us=D] [--count=N]
 //                   [--trace-out=FILE] [--dump-flight=FILE]
 //                   [--metrics-interval-ms=M]
@@ -512,7 +512,7 @@ int cmd_stats(const Args& args) {
 int cmd_serve(const Args& args) {
   args.require_known({"task", "ckpt", "bits", "accum", "engine", "backend", "sparsity",
                       "engine-config", "tenants", "requests", "concurrency", "max-batch",
-                      "max-delay-us", "queue-cap", "queue", "priority", "workers",
+                      "max-delay-us", "queue-cap", "priority", "workers",
                       "session-threads", "deadline-us", "count", "metrics-out",
                       "tune-file", "trace-out", "dump-flight", "metrics-interval-ms"});
   install_tune_file(args);
@@ -533,7 +533,7 @@ int cmd_serve(const Args& args) {
        args.has("backend") || args.has("sparsity") || args.has("engine-config") ||
        args.has("workers") || args.has("session-threads") ||
        args.has("max-batch") || args.has("max-delay-us") ||
-       args.has("queue-cap") || args.has("queue") || args.has("deadline-us")))
+       args.has("queue-cap") || args.has("deadline-us")))
     throw scnn::cli::ArgError(
         "--tenants carries the whole deployment (a ServerOptions JSON file, "
         "engine and tenant table included); it excludes the per-flag server "
@@ -556,11 +556,6 @@ int cmd_serve(const Args& args) {
     opts.max_batch = args.get_int("max-batch", 8);
     opts.max_delay_us = args.get_int("max-delay-us", 200);
     opts.queue_capacity = args.get_int("queue-cap", 64);
-    try {
-      opts.queue_kind = scnn::serve::queue_kind_from_string(args.get("queue", "lockfree"));
-    } catch (const std::invalid_argument& e) {
-      throw scnn::cli::ArgError(std::string("--") + e.what());
-    }
     opts.default_deadline_us = args.get_int("deadline-us", 0);
     opts.engine = cfg;
   } else {
@@ -650,7 +645,7 @@ int cmd_serve(const Args& args) {
   scnn::serve::Server& server = *srv;
   if (tenants_file.empty()) {
     std::printf("serving %s (backend %s): %d workers x %s session threads, "
-                "max_batch %d, max_delay %d us, queue cap %d (%s), priority %s\n",
+                "max_batch %d, max_delay %d us, queue cap %d, priority %s\n",
                 to_string(cfg.kind).c_str(),
                 scnn::nn::resolved_backend(cfg.backend).backend.c_str(),
                 server.workers(),
@@ -658,13 +653,13 @@ int cmd_serve(const Args& args) {
                     ? "auto"
                     : std::to_string(opts.session_threads).c_str(),
                 opts.max_batch, opts.max_delay_us, opts.queue_capacity,
-                to_string(opts.queue_kind).c_str(), priority_arg.c_str());
+                priority_arg.c_str());
   } else {
     std::printf("serving %d tenants from %s: %d workers, max_batch %d, "
-                "queue cap %d (%s), priority %s\n",
+                "queue cap %d, priority %s\n",
                 server.registry().count(), tenants_file.c_str(),
                 server.workers(), opts.max_batch, opts.queue_capacity,
-                to_string(opts.queue_kind).c_str(), priority_arg.c_str());
+                priority_arg.c_str());
     for (int i = 0; i < server.registry().count(); ++i) {
       const scnn::serve::TenantOptions& topt = server.registry().options(i);
       std::printf("  tenant %-12s engine %-8s shards %d%s%s\n",
@@ -825,7 +820,6 @@ int cmd_serve(const Args& args) {
     scnn::nn::stamp_engine_meta(report, cfg);
     report.set_meta("workers", static_cast<double>(server.workers()));
     report.set_meta("max_batch", static_cast<double>(opts.max_batch));
-    report.set_meta("queue_kind", to_string(opts.queue_kind));
     report.set_meta("priority", priority_arg);
     report.add_metric("throughput_rps", wall_s > 0 ? ok / wall_s : 0.0, "req/s");
     report.add_metric("latency_p50_us", pct(0.50), "us");

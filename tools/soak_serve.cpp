@@ -17,9 +17,8 @@
 // BENCH_soak.json for tools/bench_compare.
 //
 // Usage:
-//   soak_serve [--duration-s=20] [--queue=lockfree|mutex] [--workers=2]
-//              [--closed=3] [--open-rps=200] [--capacity=32] [--max-batch=4]
-//              [--out-prefix=soak]
+//   soak_serve [--duration-s=20] [--workers=2] [--closed=3] [--open-rps=200]
+//              [--capacity=32] [--max-batch=4] [--out-prefix=soak]
 //
 // Exit status: nonzero on any logits mismatch, an error response that was
 // not chaos-injected, a failed clean probe, an unparseable flight dump, or
@@ -152,9 +151,9 @@ struct ReapQueue {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--duration-s=20] [--queue=lockfree|mutex] "
-               "[--workers=2] [--closed=3] [--open-rps=200] [--capacity=32] "
-               "[--max-batch=4] [--out-prefix=soak]\n",
+               "usage: %s [--duration-s=20] [--workers=2] [--closed=3] "
+               "[--open-rps=200] [--capacity=32] [--max-batch=4] "
+               "[--out-prefix=soak]\n",
                argv0);
   return 2;
 }
@@ -168,11 +167,10 @@ int main(int argc, char** argv) {
   int duration_s = 20, workers = 2, closed_clients = 3, open_rps = 200;
   int capacity = 32, max_batch = 4;
   std::string out_prefix = "soak";
-  scnn::serve::QueueKind queue_kind = scnn::serve::QueueKind::kLockFree;
   try {
     const Args args = Args::parse(argc, argv);
-    args.require_known({"duration-s", "queue", "workers", "closed", "open-rps",
-                        "capacity", "max-batch", "out-prefix"});
+    args.require_known({"duration-s", "workers", "closed", "open-rps", "capacity",
+                        "max-batch", "out-prefix"});
     duration_s = args.get_int("duration-s", duration_s);
     workers = args.get_int("workers", workers);
     closed_clients = args.get_int("closed", closed_clients);
@@ -180,7 +178,6 @@ int main(int argc, char** argv) {
     capacity = args.get_int("capacity", capacity);
     max_batch = args.get_int("max-batch", max_batch);
     out_prefix = args.get("out-prefix", out_prefix);
-    queue_kind = scnn::serve::queue_kind_from_string(args.get("queue", "lockfree"));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "soak_serve: %s\n", e.what());
     return usage(argv[0]);
@@ -241,7 +238,6 @@ int main(int argc, char** argv) {
   opts.max_batch = max_batch;
   opts.max_delay_us = 200;
   opts.queue_capacity = capacity;
-  opts.queue_kind = queue_kind;
   opts.engine = engine;  // tenants without their own engine inherit this
   opts.flight_dump_prefix = out_prefix + "_flight";
   std::vector<scnn::serve::TenantInit> tenants(2);
@@ -256,10 +252,9 @@ int main(int argc, char** argv) {
                                       out_prefix + "_snapshots.jsonl",
                                       /*interval_ms=*/250);
 
-  std::printf("soak_serve: %ds, queue %s, %d workers, %d closed clients, "
+  std::printf("soak_serve: %ds, %d workers, %d closed clients, "
               "%d rps open loop, capacity %d, max_batch %d\n",
-              duration_s, to_string(queue_kind).c_str(), workers,
-              closed_clients, open_rps, capacity, max_batch);
+              duration_s, workers, closed_clients, open_rps, capacity, max_batch);
 
   Tally tally;
   ReapQueue reap;
@@ -523,7 +518,6 @@ int main(int argc, char** argv) {
               dump_ok ? dump_path.c_str() : "FAILED", dump_events);
 
   scnn::obs::JsonReport report = scnn::obs::stamped_report("soak");
-  report.set_meta("queue", to_string(queue_kind));
   report.set_meta("duration_s", static_cast<double>(duration_s));
   report.set_meta("workers", static_cast<double>(workers));
   report.set_meta("closed_clients", static_cast<double>(closed_clients));

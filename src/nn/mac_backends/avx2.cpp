@@ -52,7 +52,7 @@ __attribute__((target("avx2"))) std::uint64_t avx2_narrow(
   std::uint64_t sat = 0;
   std::size_t t0 = 0;
   for (; t0 + 8 <= tile; t0 += 8) {
-    const std::int32_t* px = &patches[t0 * d];
+    const std::int32_t* px = patches.data() + t0 * d;
     __m256i acc = _mm256_setzero_si256();
     __m256i eqv = _mm256_setzero_si256();
     for (std::size_t j = 0; j < d; ++j) {
@@ -107,7 +107,7 @@ __attribute__((target("avx2"))) std::uint64_t avx2_sparse_narrow(
   std::uint64_t sat = 0;
   std::size_t t0 = 0;
   for (; t0 + 8 <= tile; t0 += 8) {
-    const std::int32_t* px = &patches[t0 * d];
+    const std::int32_t* px = patches.data() + t0 * d;
     __m256i acc = _mm256_setzero_si256();
     __m256i eqv = _mm256_setzero_si256();
     for (std::size_t i = 0; i < nnz; ++i) {

@@ -158,7 +158,7 @@ SCNN_AVX512_TARGET std::uint64_t avx512_narrow(
     const std::size_t rem = tile - t0 < 16 ? tile - t0 : 16;
     const __mmask16 active =
         static_cast<__mmask16>((std::uint32_t{1} << rem) - 1);
-    const std::int32_t* px = &patches[t0 * d];
+    const std::int32_t* px = patches.data() + t0 * d;
     __m512i acc = _mm512_setzero_si512();
     __m512i eqv = _mm512_setzero_si512();
     if (rem == 16) {
@@ -234,7 +234,7 @@ SCNN_AVX512_TARGET std::uint64_t avx512_sparse_narrow(
     const std::size_t rem = tile - t0 < 16 ? tile - t0 : 16;
     const __mmask16 active =
         static_cast<__mmask16>((std::uint32_t{1} << rem) - 1);
-    const std::int32_t* px = &patches[t0 * d];
+    const std::int32_t* px = patches.data() + t0 * d;
     __m512i acc = _mm512_setzero_si512();
     __m512i eqv = _mm512_setzero_si512();
     if (rem == 16) {
@@ -307,7 +307,7 @@ SCNN_AVX512_TARGET std::uint64_t avx512_wide(
     const std::size_t rem = tile - t0 < 8 ? tile - t0 : 8;
     const __mmask8 active =
         static_cast<__mmask8>((std::uint32_t{1} << rem) - 1);
-    const std::int32_t* px = &patches[t0 * d];
+    const std::int32_t* px = patches.data() + t0 * d;
     __m512i acc = _mm512_setzero_si512();
     __m512i eqv = _mm512_setzero_si512();
     for (std::size_t j = 0; j < d; ++j) {
@@ -346,7 +346,7 @@ SCNN_AVX512_TARGET std::uint64_t avx512_sparse_wide(
     const std::size_t rem = tile - t0 < 8 ? tile - t0 : 8;
     const __mmask8 active =
         static_cast<__mmask8>((std::uint32_t{1} << rem) - 1);
-    const std::int32_t* px = &patches[t0 * d];
+    const std::int32_t* px = patches.data() + t0 * d;
     __m512i acc = _mm512_setzero_si512();
     __m512i eqv = _mm512_setzero_si512();
     for (std::size_t i = 0; i < nnz; ++i) {

@@ -3,6 +3,7 @@
 
 #include "common/cpu_features.hpp"
 #include "nn/autotune.hpp"
+#include "nn/mac_backends/bitplane.hpp"
 #include "nn/mac_backends/mac_backends.hpp"
 
 namespace scnn::nn {
@@ -121,6 +122,9 @@ std::vector<KernelSupport> kernel_support() {
       // fallback); this row reports its vpopcntdq SIMD tier.
       {"popcount-simd", popcount_simd_compiled(),
        f.avx512f && f.avx512vpopcntdq},
+      // The proposed engine's certified bit-plane stage, which runs in
+      // front of any of the SIMD kernels above (see bitplane.hpp).
+      {"bitplane-avx2", bitplane::avx2_kernel_compiled(), f.avx2},
   };
 }
 

@@ -13,6 +13,13 @@
 // kSimd); this header is the registry the engine layer (and tests, which
 // exercise *every* compiled kernel, not just the auto pick) dispatches
 // through.
+//
+// For the proposed multiplier these LUT kernels are the fallback of a
+// certified bit-plane stage (bitplane.hpp): at N <= 8 with narrow
+// accumulators, every output whose partial sums provably stay inside the
+// rails is computed as integer dot products over activation bit planes, and
+// only the rest reach a kernel here. The scalar kernel never gets the stage
+// in front of it — backend = scalar stays the LUT-only reference.
 #pragma once
 
 #include <cstdint>
@@ -135,11 +142,12 @@ struct Kernel {
 [[nodiscard]] std::vector<const Kernel*> available_kernels();
 
 /// Compiled-vs-supported inventory of every kernel family this build knows
-/// about, plus the popcount datapath's SIMD tier — `scnn_cli info` prints
+/// about, plus the popcount datapath's SIMD tier and the bit-plane stage — `scnn_cli info` prints
 /// this so tune/bench logs explain why a kernel was skipped (e.g. CPU has
 /// avx512 but the compiler was too old to build the kernel, or vice versa).
 struct KernelSupport {
-  const char* name;     ///< kernel family ("avx512", ...) or "popcount-simd"
+  const char* name;     ///< kernel family ("avx512", ...), "popcount-simd"
+                        ///< or "bitplane-avx2"
   bool compiled;        ///< the build carries the kernel
   bool supported;       ///< cpu_features() says this machine can run it
 };

@@ -29,7 +29,7 @@ std::uint64_t neon_narrow(const sc::ProductLut& lut,
   std::uint64_t sat = 0;
   std::size_t t0 = 0;
   for (; t0 + 4 <= tile; t0 += 4) {
-    const std::int32_t* px = &patches[t0 * d];
+    const std::int32_t* px = patches.data() + t0 * d;
     int32x4_t acc = vdupq_n_s32(0);
     uint32x4_t satv = vdupq_n_u32(0);
     for (std::size_t j = 0; j < d; ++j) {

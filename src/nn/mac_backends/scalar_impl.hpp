@@ -32,7 +32,7 @@ std::uint64_t mac_rows_blocked(const sc::ProductLut& lut,
   for (; t0 + kLanes <= tile; t0 += kLanes) {
     Acc acc[kLanes] = {};
     std::uint32_t lane_sat[kLanes] = {};
-    const std::int32_t* px = &patches[t0 * d];
+    const std::int32_t* px = patches.data() + t0 * d;
     for (std::size_t j = 0; j < d; ++j) {
       const std::int16_t* row = lut.row(w[j]);
       for (std::size_t t = 0; t < kLanes; ++t) {
@@ -49,7 +49,7 @@ std::uint64_t mac_rows_blocked(const sc::ProductLut& lut,
   }
   // Tail lanes: same math, one element at a time.
   for (; t0 < tile; ++t0) {
-    const std::int32_t* px = &patches[t0 * d];
+    const std::int32_t* px = patches.data() + t0 * d;
     Acc acc = 0;
     for (std::size_t j = 0; j < d; ++j) {
       const Acc v = static_cast<Acc>(acc + lut.row(w[j])[px[j]]);
@@ -83,7 +83,7 @@ std::uint64_t mac_rows_sparse_blocked(const sc::ProductLut& lut,
   for (; t0 + kLanes <= tile; t0 += kLanes) {
     Acc acc[kLanes] = {};
     std::uint32_t lane_sat[kLanes] = {};
-    const std::int32_t* px = &patches[t0 * d];
+    const std::int32_t* px = patches.data() + t0 * d;
     for (std::size_t i = 0; i < nnz; ++i) {
       const std::int16_t* row = lut.row(codes[i]);
       const std::size_t j = static_cast<std::size_t>(cols[i]);
@@ -100,7 +100,7 @@ std::uint64_t mac_rows_sparse_blocked(const sc::ProductLut& lut,
     }
   }
   for (; t0 < tile; ++t0) {
-    const std::int32_t* px = &patches[t0 * d];
+    const std::int32_t* px = patches.data() + t0 * d;
     Acc acc = 0;
     for (std::size_t i = 0; i < nnz; ++i) {
       const Acc v = static_cast<Acc>(

@@ -40,7 +40,7 @@ __attribute__((target("sse2"))) std::uint64_t sse2_narrow(
   std::uint64_t sat = 0;
   std::size_t t0 = 0;
   for (; t0 + 4 <= tile; t0 += 4) {
-    const std::int32_t* px = &patches[t0 * d];
+    const std::int32_t* px = patches.data() + t0 * d;
     __m128i acc = _mm_setzero_si128();
     __m128i satv = _mm_setzero_si128();
     for (std::size_t j = 0; j < d; ++j) {

@@ -27,6 +27,7 @@
 #include <string>
 #include <string_view>
 
+#include "nn/mac_backends/bitplane.hpp"
 #include "nn/mac_backends/mac_backends.hpp"
 #include "nn/weight_codes.hpp"
 #include "obs/metrics.hpp"
@@ -154,6 +155,8 @@ struct MacStats {
   // legitimately differ here (that difference IS the savings report).
   std::uint64_t skipped_products = 0;  ///< k = 0 products never issued (each
                                        ///< would have cost one SC issue slot)
+  std::uint64_t uncertified = 0;  ///< outputs the bit-plane stage could not
+                                  ///< certify and handed to the LUT kernel
   std::uint64_t sched_budget_total = 0;      ///< summed shard-plan budget
   std::uint64_t sched_budget_max_shard = 0;  ///< heaviest shard's budget (the
                                              ///< imbalance numerator; perfect
@@ -167,6 +170,7 @@ struct MacStats {
     detail = detail || o.detail;
     k_hist += o.k_hist;
     skipped_products += o.skipped_products;
+    uncertified += o.uncertified;
     sched_budget_total += o.sched_budget_total;
     if (o.sched_budget_max_shard > sched_budget_max_shard)
       sched_budget_max_shard = o.sched_budget_max_shard;
@@ -213,8 +217,11 @@ class MacEngine {
   /// code produced them.
   struct Description {
     std::string backend;  ///< "serial" | "scalar" | "sse2" | "avx2" |
-                          ///< "avx512" | "neon" | "popcount[-avx512]"
-    int lanes = 1;        ///< output elements per kernel step
+                          ///< "avx512" | "neon" | "popcount[-avx512]", or
+                          ///< "bitplane-<stage>+<LUT kernel>" when the
+                          ///< bit-plane stage runs in front of a LUT kernel
+                          ///< (e.g. "bitplane-avx2+avx512")
+    int lanes = 1;        ///< output elements per LUT kernel step
     std::string sparsity = "dense";  ///< resolved scheduling: "dense" |
                                      ///< "zero-skip"
 
@@ -263,6 +270,19 @@ class MacEngine {
       out[t] = mac(w.dense(), patches.subspan(t * d, d), stats);
   }
 
+  /// Block MAC: every filter row of `w` against the same out.size() / w.rows
+  /// patches (layout [tile][d]); out[m * tile + t] receives exactly what
+  /// mac_rows(w.row(m), patches, ...) would write to its out[t], with the
+  /// same MacStats arithmetic. This is the im2col convolution's entry point,
+  /// one call per patch block; the default loops mac_rows over the rows.
+  virtual void mac_block(const WeightRows& w, std::span<const std::int32_t> patches,
+                         std::span<std::int64_t> out, MacStats& stats) const {
+    const std::size_t tile = w.rows > 0 ? out.size() / static_cast<std::size_t>(w.rows) : 0;
+    for (int m = 0; m < w.rows; ++m)
+      mac_rows(w.row(m), patches,
+               out.subspan(static_cast<std::size_t>(m) * tile, tile), stats);
+  }
+
   [[nodiscard]] virtual std::string name() const = 0;
   /// Base engines run mac_rows as a serial mac() loop.
   [[nodiscard]] virtual Description describe() const {
@@ -272,6 +292,9 @@ class MacEngine {
   /// view. Layers use this to decide whether building the PackedRowCodes
   /// cache is worth anything.
   [[nodiscard]] virtual bool zero_skip() const { return false; }
+  /// True when mac_block runs the certified bit-plane stage given
+  /// WeightRows::planes — layers build the coefficient cache only then.
+  [[nodiscard]] virtual bool bitplane_stage() const { return false; }
   [[nodiscard]] int bits() const { return n_; }
   [[nodiscard]] int accum_bits() const { return a_; }
 
@@ -307,9 +330,19 @@ class LutEngine final : public MacEngine {
   /// detail-mode histograms are identical across scheduling modes too.
   void mac_rows(const WeightCodeView& w, std::span<const std::int32_t> patches,
                 std::span<std::int64_t> out, MacStats& stats) const override;
+  /// Block form. For the proposed table at N <= 8 with narrow accumulators,
+  /// and any kernel choice but the scalar reference, a certified bit-plane
+  /// stage (nn/mac_backends/bitplane.hpp) runs over WeightRows::planes in
+  /// front of the kernel: outputs it certifies come from integer dot
+  /// products, the rest take mac_rows' kernel unchanged, in increasing-j
+  /// order — values and MacStats arithmetic stay identical. Without the
+  /// stage or the coefficients it loops mac_rows.
+  void mac_block(const WeightRows& w, std::span<const std::int32_t> patches,
+                 std::span<std::int64_t> out, MacStats& stats) const override;
   [[nodiscard]] std::string name() const override { return lut_.name(); }
   [[nodiscard]] Description describe() const override;
   [[nodiscard]] bool zero_skip() const override { return zero_skip_; }
+  [[nodiscard]] bool bitplane_stage() const override { return bitplane_ != nullptr; }
 
   [[nodiscard]] const sc::ProductLut& lut() const { return lut_; }
 
@@ -319,6 +352,7 @@ class LutEngine final : public MacEngine {
   sc::ProductLut lut_;
   const backends::Kernel* kernel_;
   bool zero_skip_;
+  const bitplane::Kernel* bitplane_;  ///< nullptr = LUT only
 };
 
 /// Build the engine described by a validated configuration (validate() is

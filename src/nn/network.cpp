@@ -54,6 +54,7 @@ Tensor Network::forward_instrumented_(const Tensor& input) {
       args.push_back({"macs", static_cast<double>(s.macs)});
       args.push_back({"saturations", static_cast<double>(s.saturations)});
       args.push_back({"skipped_products", static_cast<double>(s.skipped_products)});
+      args.push_back({"uncertified", static_cast<double>(s.uncertified)});
       if (s.detail) {
         args.push_back({"sc_cycles", static_cast<double>(s.k_hist.sum)});
         args.push_back({"max_k", static_cast<double>(s.k_hist.max)});
@@ -87,6 +88,7 @@ Tensor Network::forward_instrumented_(const Tensor& input) {
     metrics_->counter("mac.macs").add(pass_stats.macs, shard);
     metrics_->counter("mac.saturations").add(pass_stats.saturations, shard);
     metrics_->counter("sc.skipped_products").add(pass_stats.skipped_products, shard);
+    metrics_->counter("sc.uncertified_macs").add(pass_stats.uncertified, shard);
     if (pass_stats.detail) {
       metrics_->counter("sc.cycles").add(pass_stats.k_hist.sum, shard);
       metrics_->histogram("sc.k").record_hist(pass_stats.k_hist, shard);

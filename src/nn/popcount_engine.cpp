@@ -290,11 +290,11 @@ void PopcountEngine::mac_rows(const WeightCodeView& w,
   if (simd_)
     for (; t0 + 8 <= tile; t0 += 8)
       sat += simd_block(streams_.data(), words_, half_, b_, codes, cols, count,
-                        d, &patches[t0 * d], &out[t0], lo, hi);
+                        d, patches.data() + t0 * d, &out[t0], lo, hi);
 #endif
   if (t0 < tile)
     sat += scalar_lanes(streams_.data(), words_, half_, b_, codes, cols, count,
-                        d, &patches[t0 * d], tile - t0, &out[t0], lo, hi);
+                        d, patches.data() + t0 * d, tile - t0, &out[t0], lo, hi);
   if (sparse) stats.skipped_products += (d - w.nnz()) * tile;
   stats.macs += tile;
   stats.products += tile * d;

@@ -26,6 +26,10 @@
 
 namespace scnn::nn {
 
+namespace bitplane {
+struct Coefficients;
+}
+
 /// Zero-skip scheduling selection, carried by EngineConfig::sparsity.
 /// kDense always issues every product; kZeroSkip skips k = 0 products and
 /// makes engine construction throw for product tables where that would
@@ -131,6 +135,27 @@ class WeightCodeView {
   std::span<const std::int32_t> codes_;
   std::uint64_t k_sum_ = 0;
   bool packed_ = false;
+};
+
+/// Every filter row of one layer generation, as handed to
+/// MacEngine::mac_block: the dense codes plus whichever prepared forms the
+/// engine asked for. Borrows — everything must outlive the call.
+struct WeightRows {
+  std::span<const std::int32_t> dense;  ///< [rows][d] codes
+  int rows = 0;
+  std::size_t d = 0;
+  /// CSR cache for zero-skip engines (nullptr = dense views).
+  const PackedRowCodes* packed = nullptr;
+  /// Bit-plane coefficients of these exact codes, for engines whose
+  /// bit-plane stage runs (MacEngine::bitplane_stage).
+  const bitplane::Coefficients* planes = nullptr;
+
+  /// Row m as the per-row kernels see it (packed when a CSR cache is set).
+  [[nodiscard]] WeightCodeView row(int m) const {
+    const std::span<const std::int32_t> r =
+        dense.subspan(static_cast<std::size_t>(m) * d, d);
+    return packed ? WeightCodeView::packed_row(r, *packed, m) : WeightCodeView(r);
+  }
 };
 
 }  // namespace scnn::nn

@@ -7,6 +7,7 @@
 // their gathers and stores.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
@@ -18,6 +19,7 @@
 #include "core/scmac.hpp"
 #include "data/synthetic_digits.hpp"
 #include "nn/inference_session.hpp"
+#include "nn/mac_backends/bitplane.hpp"
 #include "nn/mac_backends/mac_backends.hpp"
 #include "nn/mac_engine.hpp"
 #include "nn/network.hpp"
@@ -78,12 +80,12 @@ TEST(MacBackends, EveryAvailableKernelMatchesScalarReference) {
       for (const std::size_t d :
            {std::size_t{0}, std::size_t{1}, std::size_t{5}, std::size_t{27}}) {
         // Tiles straddling every vector width and its tails, including 0:
-        // one below/above each of the 8- and 16-lane widths plus 2w-1/2w+1.
-        for (const std::size_t tile :
-             {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{7},
-              std::size_t{8}, std::size_t{9}, std::size_t{15}, std::size_t{16},
-              std::size_t{17}, std::size_t{31}, std::size_t{32},
-              std::size_t{33}}) {
+        // 1..17 covers every lane count below/at/above the 8- and 16-lane
+        // widths, plus 2w-1/2w+1.
+        std::vector<std::size_t> tiles;
+        for (std::size_t t = 0; t <= 17; ++t) tiles.push_back(t);
+        for (const std::size_t t : {31, 32, 33}) tiles.push_back(t);
+        for (const std::size_t tile : tiles) {
           const std::uint64_t seed = 1000 * d + tile + static_cast<std::uint64_t>(
                                                            n_bits * 31 + accum_bits);
           const auto w = random_codes(d, n_bits, seed);
@@ -91,6 +93,27 @@ TEST(MacBackends, EveryAvailableKernelMatchesScalarReference) {
 
           std::vector<std::int64_t> ref(tile, -1);
           const std::uint64_t ref_sat = scalar.narrow(lut, w, patches, ref, lo, hi);
+
+          // The bit-plane stage in front of these kernels: each output it
+          // certifies must equal the reference and carry no clamp event.
+          if (const nn::bitplane::Kernel* bp = nn::bitplane::avx2_kernel()) {
+            nn::bitplane::Coefficients coef;
+            coef.assign(w, 1, d, n_bits);
+            std::vector<std::int64_t> out(tile, -4);
+            const auto certified = nn::bitplane::run(*bp, coef, patches, tile, lo, hi, out);
+            for (std::size_t t = 0; t < tile; ++t) {
+              if (!certified[t]) continue;
+              EXPECT_EQ(out[t], ref[t]) << "bitplane d=" << d << " tile=" << tile
+                                        << " t=" << t;
+              std::int64_t one = 0;
+              EXPECT_EQ(scalar.narrow(lut, w, std::span(patches).subspan(t * d, d),
+                                      std::span(&one, 1), lo, hi),
+                        0u);
+            }
+            if (d == 0)
+              EXPECT_EQ(std::count(certified.begin(), certified.end(), 1),
+                        static_cast<std::ptrdiff_t>(tile));
+          }
 
           for (const Kernel* k : kernels) {
             std::vector<std::int64_t> out(tile, -2);
@@ -102,6 +125,11 @@ TEST(MacBackends, EveryAvailableKernelMatchesScalarReference) {
                                       std::to_string(tile);
             EXPECT_EQ(out, ref) << label;
             EXPECT_EQ(sat, ref_sat) << label;
+            if (d == 0) {
+              // An empty row sums to 0 with no clamp event, on every kernel.
+              EXPECT_EQ(out, std::vector<std::int64_t>(tile, 0)) << label;
+              EXPECT_EQ(sat, 0u) << label;
+            }
 
             // The shared wide (int64) path must agree wherever narrow is
             // exact — it is the fallback for accumulators beyond 30 bits.
@@ -263,6 +291,11 @@ TEST(MacBackends, SimdRequestThrowsWhereUnavailable) {
     const auto engine = nn::make_engine(
         {.kind = EngineKind::kProposed, .n_bits = 8, .backend = MacBackend::kSimd});
     EXPECT_NE(engine->describe().backend, "scalar");
+    // The proposed kind names its bit-plane stage and the LUT fallback.
+    const std::string kernel = nn::backends::best_simd_kernel()->name;
+    EXPECT_EQ(engine->describe().backend,
+              nn::bitplane::avx2_kernel() ? "bitplane-avx2+" + kernel : kernel);
+    EXPECT_EQ(engine->describe().lanes, nn::backends::best_simd_kernel()->lanes);
   } else {
     EXPECT_THROW(nn::make_engine({.kind = EngineKind::kProposed, .n_bits = 8,
                                   .backend = MacBackend::kSimd}),
@@ -332,7 +365,9 @@ TEST(MacBackends, KernelSupportInventoryIsConsistent) {
       EXPECT_TRUE(s.compiled);
       EXPECT_TRUE(s.supported);
     }
-    if (name == "popcount-simd") continue;  // engine datapath, not a kernel
+    // Engine datapaths, not mac_rows kernels: the popcount engine's SIMD
+    // tier and the proposed engine's bit-plane stage.
+    if (name == "popcount-simd" || name == "bitplane-avx2") continue;
     EXPECT_EQ(s.compiled && s.supported,
               nn::backends::kernel_by_name(name) != nullptr)
         << name;

@@ -465,6 +465,10 @@ int cmd_stats(const Args& args) {
                     ? 100.0 * static_cast<double>(stats.skipped_products) / dense_sched
                     : 0.0);
   }
+  std::printf("bit-plane stage: %s; %llu of %llu outputs uncertified (LUT fallback)\n",
+              session.engine()->bitplane_stage() ? "on" : "off",
+              static_cast<unsigned long long>(stats.uncertified),
+              static_cast<unsigned long long>(stats.macs));
 
   // Forward-pass wall-time quantiles from the session's log-linear latency
   // histogram (the same numbers append_registry exports as /p50../p999).
@@ -493,6 +497,8 @@ int cmd_stats(const Args& args) {
                     "cycles");
   report.add_metric("sc.skipped_products_last_pass",
                     static_cast<double>(stats.skipped_products), "products");
+  report.add_metric("sc.uncertified_macs_last_pass",
+                    static_cast<double>(stats.uncertified), "outputs");
   scnn::obs::append_registry(session.metrics(), report);
   report.write_file(args.get("metrics-out", "scnn_metrics.json"));
 
@@ -647,7 +653,7 @@ int cmd_serve(const Args& args) {
     std::printf("serving %s (backend %s): %d workers x %s session threads, "
                 "max_batch %d, max_delay %d us, queue cap %d, priority %s\n",
                 to_string(cfg.kind).c_str(),
-                scnn::nn::resolved_backend(cfg.backend).backend.c_str(),
+                scnn::nn::resolved_backend(cfg).backend.c_str(),
                 server.workers(),
                 opts.session_threads == 0
                     ? "auto"

@@ -31,24 +31,20 @@
 // stamps the skipped-product/schedule-cycle counts and speedups into
 // BENCH_conv.json (zskip_* metrics).
 //
-// Two further sections ride on the same model: an avx512-vs-avx2
-// head-to-head (both kernels forced through the SCNN_BACKEND env, the
-// channel tune files steer) and the bit-parallel popcount datapath at
-// b in {1, 8, 16, 32}, each gated bit-identical to the LUT serial reference
-// before it is timed, with a scalar-forced (SCNN_POPCOUNT_SCALAR) b = 1 lane
-// as the serial-simulation baseline. Metrics land in BENCH_conv.json as
-// avx512_*/speedup_avx512_vs_avx2_* and bp_*.
+// A further section rides on the same model: an avx512-vs-avx2
+// head-to-head, both LUT kernels forced through the SCNN_BACKEND env (so
+// each runs behind the proposed engine's bit-plane stage, as kAuto serves
+// it). Metrics land in BENCH_conv.json as avx512_*/speedup_avx512_vs_avx2_*.
 //
 // --assert-speedup additionally fails the run when a SIMD kernel is
-// available but delivers < 1.5x the scalar kernel's serial imgs/s, when
-// zero-skip delivers < 1.2x the dense scalar schedule on the sparse model,
-// or when popcount b = 16 delivers < 2x the scalar serial simulation (a
-// loud SKIP, never a silent pass, where a kernel pair is missing or under
+// available but delivers < 1.5x the scalar kernel's serial imgs/s, or when
+// zero-skip delivers < 1.2x the dense scalar schedule on the sparse model
+// (a loud SKIP, never a silent pass, where a kernel pair is missing or under
 // --quick). The avx512-vs-avx2 gate is measurement-driven: >= 1.3x passes,
 // a ratio inside [0.7x, 1.3x) is a loud SKIP naming the cause (the LUT
 // gather dominates, and hosts that retire zmm gathers at ymm per-lane rate
-// cap avx512 at avx2 parity — the autotuner steers kAuto to the measured
-// winner there), and < 0.7x fails as a genuine kernel regression.
+// cap avx512 at avx2 parity), and < 0.7x fails as a genuine kernel
+// regression.
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -56,7 +52,6 @@
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -66,7 +61,6 @@
 #include "data/synthetic_objects.hpp"
 #include "nn/inference_session.hpp"
 #include "nn/network.hpp"
-#include "nn/popcount_engine.hpp"
 
 namespace {
 
@@ -331,9 +325,10 @@ int main(int argc, char** argv) {
     std::printf("SKIP: simd-vs-scalar speedup (no SIMD kernel on this machine)\n");
   }
 
-  // --- avx512 vs avx2 head-to-head, forced through the SCNN_BACKEND env
-  // (the same channel tune files use). Only meaningful where both kernels
-  // run; the SKIP is loud so a missing row is never mistaken for parity.
+  // --- avx512 vs avx2 head-to-head, forced through the SCNN_BACKEND env,
+  // which steers kAuto only — so both run exactly as kAuto would serve them,
+  // bit-plane stage included. Only meaningful where both kernels run; the
+  // SKIP is loud so a missing row is never mistaken for parity.
   double avx512_vs_avx2_serial = 0.0, avx512_vs_avx2_t4 = 0.0;
   std::array<std::array<double, 2>, 2> pair_ms{};  // [avx2, avx512][1, 4 thr]
   const bool have_avx512_pair =
@@ -363,48 +358,6 @@ int main(int argc, char** argv) {
                 scnn::nn::backends::kernel_by_name("avx2") != nullptr,
                 scnn::nn::backends::kernel_by_name("avx512") != nullptr);
   }
-
-  // --- Bit-parallel popcount datapath: gate bit-identity against the LUT
-  // serial reference at every degree b, then time b ∈ {1, 8, 16, 32}. The
-  // baseline for the bit-parallel win is the same engine pinned to b = 1 on
-  // the scalar popcount path (SCNN_POPCOUNT_SCALAR) — a serial simulation
-  // of the SC counter, one stream bit per step.
-  bool popcount_identical = true;
-  std::array<double, 4> bp_ms{};
-  const std::array<int, 4> bp_degrees{1, 8, 16, 32};
-  session.set_im2col(true);
-  for (std::size_t bi = 0; bi < bp_degrees.size(); ++bi) {
-    session.set_engine({.kind = EngineKind::kProposed, .n_bits = kBits,
-                        .bit_parallel = bp_degrees[bi], .threads = 1,
-                        .backend = MacBackend::kPopcount});
-    const Tensor y = session.forward(data.images);
-    const bool ok = bit_identical(serial_ref, y) &&
-                    serial_stats == session.last_forward_stats();
-    popcount_identical = popcount_identical && ok;
-    std::printf("  popcount b=%-3d (%s) vs LUT serial: logits+stats %s\n",
-                bp_degrees[bi], session.backend().backend.c_str(),
-                ok ? "bit-identical" : "DIFFER");
-    bp_ms[bi] = time_forward_ms(session, data.images, reps);
-  }
-  double bp_scalar_b1_ms;
-  {
-    setenv("SCNN_POPCOUNT_SCALAR", "1", 1);
-    session.set_engine({.kind = EngineKind::kProposed, .n_bits = kBits,
-                        .bit_parallel = 1, .threads = 1,
-                        .backend = MacBackend::kPopcount});
-    const Tensor y = session.forward(data.images);
-    popcount_identical = popcount_identical && bit_identical(serial_ref, y);
-    bp_scalar_b1_ms = time_forward_ms(session, data.images, reps);
-    unsetenv("SCNN_POPCOUNT_SCALAR");
-  }
-  const double bp_b16_vs_scalar_sim = bp_scalar_b1_ms / bp_ms[2];
-  std::printf("popcount imgs/s: scalar-sim b=1 %.1f | b=1 %.1f, b=8 %.1f, "
-              "b=16 %.1f, b=32 %.1f (%s)\n",
-              1000.0 * images / bp_scalar_b1_ms, 1000.0 * images / bp_ms[0],
-              1000.0 * images / bp_ms[1], 1000.0 * images / bp_ms[2],
-              1000.0 * images / bp_ms[3], scnn::nn::popcount_backend_name());
-  std::printf("popcount b=16 vs scalar serial simulation: %.2fx\n",
-              bp_b16_vs_scalar_sim);
 
   const scnn::nn::EngineConfig report_cfg{.kind = EngineKind::kProposed,
                                           .n_bits = kBits,
@@ -474,14 +427,6 @@ int main(int argc, char** argv) {
     report.add_metric("speedup_avx512_vs_avx2_serial", avx512_vs_avx2_serial, "x");
     report.add_metric("speedup_avx512_vs_avx2_t4", avx512_vs_avx2_t4, "x");
   }
-  report.set_meta("popcount_backend", scnn::nn::popcount_backend_name());
-  report.add_metric("bp_scalar_b1_serial_imgs_per_s",
-                    1000.0 * images / bp_scalar_b1_ms, "imgs/s");
-  for (std::size_t bi = 0; bi < bp_degrees.size(); ++bi)
-    report.add_metric("bp_b" + std::to_string(bp_degrees[bi]) +
-                          "_serial_imgs_per_s",
-                      1000.0 * images / bp_ms[bi], "imgs/s");
-  report.add_metric("speedup_bp_b16_vs_scalar_sim", bp_b16_vs_scalar_sim, "x");
   report.write_file();
 
   if (!paths_identical) {
@@ -503,11 +448,6 @@ int main(int argc, char** argv) {
   if (!zskip_identical) {
     std::printf("FAIL: zero-skip logits/stats differ from dense on the sparse "
                 "checkpoint\n");
-    return 1;
-  }
-  if (!popcount_identical) {
-    std::printf("FAIL: popcount engine logits/stats differ from the LUT "
-                "serial reference\n");
     return 1;
   }
   if (assert_speedup) {
@@ -549,12 +489,10 @@ int main(int argc, char** argv) {
       // x86 gather units retire a fixed number of lanes per cycle, so hosts
       // whose zmm gathers run at ymm per-lane rate cap avx512 at roughly
       // avx2 parity no matter how wide the ALU work is. That is a property
-      // of the machine, not a kernel regression — `scnn_cli tune` measures
-      // it and steers kAuto to whichever kernel actually wins here.
+      // of the machine, not a kernel regression.
       std::printf("SKIP: --assert-speedup avx512-vs-avx2 — %.2fx is within "
                   "the gather-throughput parity band [0.7x, 1.3x); this host "
-                  "retires zmm gathers at ymm per-lane rate (run scnn_cli "
-                  "tune to steer kAuto to the measured winner)\n",
+                  "retires zmm gathers at ymm per-lane rate\n",
                   avx512_vs_avx2_serial);
     } else {
       std::printf("FAIL: avx512 mac_rows is only %.2fx the avx2 kernel — "
@@ -563,21 +501,6 @@ int main(int argc, char** argv) {
                   "requires >= 1.3x or parity)\n",
                   avx512_vs_avx2_serial);
       return 1;
-    }
-    if (quick) {
-      // covered by the blanket --quick SKIP above
-    } else if (std::string_view{scnn::nn::popcount_backend_name()} ==
-               "popcount") {
-      std::printf("SKIP: --assert-speedup popcount — no vpopcntdq SIMD tier "
-                  "here, b=16 and the scalar simulation share a datapath\n");
-    } else if (bp_b16_vs_scalar_sim < 2.0) {
-      std::printf("FAIL: popcount b=16 is only %.2fx the scalar serial "
-                  "simulation (--assert-speedup requires >= 2x)\n",
-                  bp_b16_vs_scalar_sim);
-      return 1;
-    } else {
-      std::printf("speedup assertion: popcount b=16 >= 2x scalar simulation "
-                  "(%.2fx) — OK\n", bp_b16_vs_scalar_sim);
     }
   }
   std::printf("PASS: all equivalence assertions hold\n");

@@ -15,7 +15,6 @@
 #include "core/scmac.hpp"
 #include "nn/mac_backends/mac_backends.hpp"
 #include "nn/mac_engine.hpp"
-#include "nn/popcount_engine.hpp"
 #include "sc/conventional.hpp"
 #include "sc/lfsr.hpp"
 #include "sc/mult_lut.hpp"
@@ -125,8 +124,9 @@ void BM_LutEngineMacRowsZeroSkip(benchmark::State& state) {
 BENCHMARK(BM_LutEngineMacRowsZeroSkip)->Arg(50)->Arg(90);
 
 // Every compiled-and-runnable mac_rows kernel head to head on the same
-// tile — the numbers `scnn_cli tune` acts on, at micro scale. Registered at
-// runtime (see main) because the kernel list depends on the host CPU.
+// tile — the LUT kernels SCNN_BACKEND chooses between, at micro scale.
+// Registered at runtime (see main) because the kernel list depends on the
+// host CPU.
 void BM_MacRowsKernel(benchmark::State& state,
                       const scnn::nn::backends::Kernel* kernel) {
   constexpr std::size_t kTile = 28, kD = 200;
@@ -142,30 +142,6 @@ void BM_MacRowsKernel(benchmark::State& state,
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kTile * kD);
 }
-
-// The bit-parallel popcount datapath on the same tile, b stream bits per
-// step (b = 1 is the serial simulation; whether the per-step popcounts run
-// through vpopcntdq or __builtin_popcountll shows up as the backend name in
-// `scnn_cli info`). Bit-identical to BM_LutEngineMacRows by construction.
-void BM_PopcountEngineMacRows(benchmark::State& state) {
-  const int b = static_cast<int>(state.range(0));
-  constexpr std::size_t kTile = 28, kD = 200;
-  const auto engine = scnn::nn::make_engine({.kind = scnn::nn::EngineKind::kProposed,
-                                             .n_bits = 8,
-                                             .bit_parallel = b,
-                                             .backend = scnn::nn::MacBackend::kPopcount});
-  const auto w = random_codes(kD, 8, 7);
-  const auto patches = random_codes(kTile * kD, 8, 8);
-  std::vector<std::int64_t> out(kTile);
-  scnn::nn::MacStats stats;
-  const scnn::nn::WeightCodeView view{std::span<const std::int32_t>(w)};
-  for (auto _ : state) {
-    engine->mac_rows(view, patches, out, stats);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kTile * kD);
-}
-BENCHMARK(BM_PopcountEngineMacRows)->Arg(1)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_BiscMvmMacTickLevel(benchmark::State& state) {
   scnn::core::BiscMvm mvm(8, 2, 16);

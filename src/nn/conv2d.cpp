@@ -192,21 +192,14 @@ Tensor Conv2D::forward_quantized_im2col(const Tensor& x) {
   const common::ShardPlan plan = common::plan_weighted_shards(
       budgets, common::parallel_shard_count(pool_, rows));
   std::vector<MacStats> shard_stats(static_cast<std::size_t>(std::max(1, plan.shards())));
-  // Column tiling: the row's C patches are processed in blocks of tile_w
-  // columns; each block is materialized once and reused by all out_ch_
-  // filter rows before moving on. tile_w = C (the 0 default) reproduces the
-  // historical whole-row schedule. Every output element is an independent
-  // dot product and MacStats are plain sums, so the tile width is pure
-  // scheduling — logits and counters are bit-identical for every choice.
-  const int tile_w = im2col_tile_ > 0 ? std::min(im2col_tile_, C) : C;
   common::parallel_for_planned(pool_, plan, [&](std::int64_t lo, std::int64_t hi, int shard) {
     auto& arena = common::ScratchArena::thread_local_arena();
     const auto frame = arena.frame();
     (void)frame;
-    const std::span<std::int32_t> patches = arena.take<std::int32_t>(
-        static_cast<std::size_t>(tile_w) * dd);
+    const std::span<std::int32_t> patches =
+        arena.take<std::int32_t>(static_cast<std::size_t>(C) * dd);
     const std::span<std::int64_t> accs = arena.take<std::int64_t>(
-        static_cast<std::size_t>(out_ch_) * static_cast<std::size_t>(tile_w));
+        static_cast<std::size_t>(out_ch_) * static_cast<std::size_t>(C));
     MacStats local;
     local.detail = cycle_detail_;
     for (std::int64_t row = lo; row < hi; ++row) {
@@ -215,40 +208,33 @@ Tensor Conv2D::forward_quantized_im2col(const Tensor& x) {
       const std::int32_t* xs = &xq[static_cast<std::size_t>(n) * plane];
       const int i_lo = std::max(0, p_ - s_ * r);
       const int i_hi = std::min(k_, H - s_ * r + p_);
-      for (int c0 = 0; c0 < C; c0 += tile_w) {
-        const int tc = std::min(tile_w, C - c0);
-        // Build the block's patches. With padding, start from materialized
-        // zero codes (quantize(0) == 0) and copy only the in-range segments
-        // — the inner kernel then needs no bounds checks at all.
-        if (p_ > 0)
-          std::memset(patches.data(), 0,
-                      static_cast<std::size_t>(tc) * dd * sizeof(std::int32_t));
-        for (int c = c0; c < c0 + tc; ++c) {
-          std::int32_t* patch = &patches[static_cast<std::size_t>(c - c0) * dd];
-          const int j_lo = std::max(0, p_ - s_ * c);
-          const int j_hi = std::min(k_, W - s_ * c + p_);
-          for (int z = 0; z < in_ch_; ++z) {
-            for (int i = i_lo; i < i_hi; ++i) {
-              const int yy = s_ * r + i - p_;
-              const std::int32_t* src =
-                  &xs[(static_cast<std::size_t>(z) * H + yy) * W + (s_ * c + j_lo - p_)];
-              std::int32_t* dst = &patch[(static_cast<std::size_t>(z) * k_ + i) * k_ + j_lo];
-              // Kernel rows are a handful of codes: an inline copy beats a
-              // memcpy call per segment.
-              for (int j = 0; j < j_hi - j_lo; ++j) dst[j] = src[j];
-            }
+      // Build the row's patches. With padding, start from materialized zero
+      // codes (quantize(0) == 0) and copy only the in-range segments — the
+      // inner kernel then needs no bounds checks at all.
+      if (p_ > 0) std::memset(patches.data(), 0, patches.size_bytes());
+      for (int c = 0; c < C; ++c) {
+        std::int32_t* patch = &patches[static_cast<std::size_t>(c) * dd];
+        const int j_lo = std::max(0, p_ - s_ * c);
+        const int j_hi = std::min(k_, W - s_ * c + p_);
+        for (int z = 0; z < in_ch_; ++z) {
+          for (int i = i_lo; i < i_hi; ++i) {
+            const int yy = s_ * r + i - p_;
+            const std::int32_t* src =
+                &xs[(static_cast<std::size_t>(z) * H + yy) * W + (s_ * c + j_lo - p_)];
+            std::int32_t* dst = &patch[(static_cast<std::size_t>(z) * k_ + i) * k_ + j_lo];
+            // Kernel rows are a handful of codes: an inline copy beats a
+            // memcpy call per segment.
+            for (int j = 0; j < j_hi - j_lo; ++j) dst[j] = src[j];
           }
         }
-        // Every filter row MACs the block of tc patches in one call.
-        const std::size_t tcs = static_cast<std::size_t>(tc);
-        engine_->mac_block(weight_rows, patches.first(tcs * dd),
-                           accs.first(static_cast<std::size_t>(out_ch_) * tcs), local);
-        for (int m = 0; m < out_ch_; ++m) {
-          const float bias = bias_.value.at(m, 0, 0, 0);
-          const std::int64_t* arow = accs.data() + static_cast<std::size_t>(m) * tcs;
-          float* yrow = &y.at(n, m, r, c0);
-          for (int c = 0; c < tc; ++c) yrow[c] = static_cast<float>(arow[c]) * out_scale + bias;
-        }
+      }
+      // Every filter row MACs the row's C patches in one call.
+      engine_->mac_block(weight_rows, patches, accs, local);
+      for (int m = 0; m < out_ch_; ++m) {
+        const float bias = bias_.value.at(m, 0, 0, 0);
+        const std::int64_t* arow = accs.data() + static_cast<std::size_t>(m) * C;
+        float* yrow = &y.at(n, m, r, 0);
+        for (int c = 0; c < C; ++c) yrow[c] = static_cast<float>(arow[c]) * out_scale + bias;
       }
     }
     shard_stats[static_cast<std::size_t>(shard)] += local;

@@ -58,16 +58,6 @@ class Conv2D final : public Layer {
   void set_im2col(bool on) { im2col_ = on; }
   [[nodiscard]] bool im2col() const { return im2col_; }
 
-  /// Width of the im2col column blocks handed to the batched mac_rows
-  /// kernels (0 = the full output row, the historical behaviour). Smaller
-  /// tiles keep the patch-code buffer resident in cache across all out_ch_
-  /// filter rows; the winning width is machine-specific and comes from
-  /// `scnn_cli tune`. Pure scheduling: every output element is an
-  /// independent dot product, so logits and MacStats are bit-identical for
-  /// every tile width. Negative widths are clamped to 0.
-  void set_im2col_tile(int tile) { im2col_tile_ = tile < 0 ? 0 : tile; }
-  [[nodiscard]] int im2col_tile() const { return im2col_tile_; }
-
   /// Shard forward passes over `pool` (nullptr = serial). Engines are const
   /// LUT lookups and every output element is an independent dot product, so
   /// the sharded pass is race-free and bit-identical to the serial one.
@@ -150,7 +140,6 @@ class Conv2D final : public Layer {
   const MacEngine* engine_ = nullptr;
   common::ThreadPool* pool_ = nullptr;
   bool im2col_ = true;
-  int im2col_tile_ = 0;
   bool cycle_detail_ = false;
   MacStats stats_;
   std::uint64_t last_products_ = 0;

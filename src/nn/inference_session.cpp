@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "nn/autotune.hpp"
-
 namespace scnn::nn {
 
 InferenceSession::InferenceSession(Network net, int threads) : net_(std::move(net)) {
@@ -20,14 +18,6 @@ void InferenceSession::set_engine(const EngineConfig& cfg) {
   engine_ = engines_.get(cfg);
   cfg_ = cfg;
   set_conv_engine(net_, engine_);
-  // im2col tile resolution mirrors the backend's kAuto rules: an explicit
-  // config request always wins; otherwise the installed tune file's winner
-  // applies; otherwise 0 = full output row (the historical schedule). Pure
-  // scheduling either way — logits and MacStats stay bit-identical.
-  int tile = cfg.im2col_tile;
-  if (tile == 0)
-    if (const TuneFile* tune = active_tune()) tile = tune->best_tile;
-  set_conv_im2col_tile(net_, tile);
   set_threads(cfg.threads);
   set_instrumentation(cfg.instrument);
 }

@@ -2,7 +2,6 @@
 #include <stdexcept>
 
 #include "common/cpu_features.hpp"
-#include "nn/autotune.hpp"
 #include "nn/mac_backends/bitplane.hpp"
 #include "nn/mac_backends/mac_backends.hpp"
 
@@ -13,7 +12,6 @@ std::string to_string(MacBackend backend) {
     case MacBackend::kAuto: return "auto";
     case MacBackend::kScalar: return "scalar";
     case MacBackend::kSimd: return "simd";
-    case MacBackend::kPopcount: return "popcount";
   }
   throw std::invalid_argument("to_string: invalid MacBackend");
 }
@@ -22,9 +20,8 @@ MacBackend mac_backend_from_string(std::string_view s) {
   if (s == "auto") return MacBackend::kAuto;
   if (s == "scalar") return MacBackend::kScalar;
   if (s == "simd") return MacBackend::kSimd;
-  if (s == "popcount") return MacBackend::kPopcount;
   throw std::invalid_argument("unknown mac backend '" + std::string(s) +
-                              "' (expected auto, scalar, simd, or popcount)");
+                              "' (expected auto, scalar, or simd)");
 }
 
 namespace backends {
@@ -47,32 +44,14 @@ const Kernel& select_kernel(MacBackend backend) {
   if (backend == MacBackend::kAuto) {
     // Global override hook for CI and A/B runs: force every kAuto engine in
     // the process onto one backend without touching any call site.
-    // Explicitly-requested backends (kScalar/kSimd/kPopcount) are never
-    // overridden. The env accepts concrete kernel names too ("avx2",
-    // "avx512", ...) — those must name a runnable kernel or we throw, since
-    // a silently-ignored forced backend would invalidate an A/B run.
+    // Explicitly-requested backends (kScalar/kSimd) are never overridden.
+    // The env accepts concrete kernel names too ("avx2", "avx512", ...) —
+    // those must name a runnable kernel or we throw, since a
+    // silently-ignored forced backend would invalidate an A/B run.
     if (const char* env = std::getenv("SCNN_BACKEND"); env && *env) {
       const std::string_view name{env};
       if (const Kernel* k = kernel_by_name(name)) return *k;
       backend = mac_backend_from_string(name);
-      if (backend == MacBackend::kPopcount) {
-        // The popcount datapath is an engine, not a mac_rows kernel; engines
-        // that can honour the lean (proposed-table engines) already resolved
-        // it at make_engine time. Everything else keeps auto dispatch — like
-        // SCNN_SPARSITY, the env can only lean, never make a config illegal.
-        backend = MacBackend::kAuto;
-      }
-    }
-    // An installed tune file (scnn_cli tune) steers what remains of kAuto.
-    if (backend == MacBackend::kAuto) {
-      if (const TuneFile* tune = active_tune();
-          tune && !tune->best_backend.empty()) {
-        if (const Kernel* k = kernel_by_name(tune->best_backend)) return *k;
-        throw std::invalid_argument(
-            "tune file names kernel '" + tune->best_backend +
-            "' which is not compiled+supported in this build — re-run "
-            "`scnn_cli tune` on this machine");
-      }
     }
   }
   switch (backend) {
@@ -88,11 +67,6 @@ const Kernel& select_kernel(MacBackend backend) {
             "backend = simd, but no SIMD mac_rows kernel is compiled and "
             "supported on this machine (available: " + names + ")");
       }
-    case MacBackend::kPopcount:
-      throw std::invalid_argument(
-          "backend = popcount selects the bit-parallel popcount engine, not "
-          "a mac_rows LUT kernel — it is only valid for EngineKind::kProposed "
-          "and is resolved by make_engine, not select_kernel");
     case MacBackend::kAuto: {
       const Kernel* k = best_simd_kernel();
       return k ? *k : scalar_kernel();
@@ -118,10 +92,6 @@ std::vector<KernelSupport> kernel_support() {
       {"neon", neon_kernel_compiled(), f.neon},
       {"avx2", avx2_kernel_compiled(), f.avx2},
       {"avx512", avx512_kernel_compiled(), f.avx512_mac_tier()},
-      // The popcount engine always runs (scalar __builtin_popcountll
-      // fallback); this row reports its vpopcntdq SIMD tier.
-      {"popcount-simd", popcount_simd_compiled(),
-       f.avx512f && f.avx512vpopcntdq},
       // The proposed engine's certified bit-plane stage, which runs in
       // front of any of the SIMD kernels above (see bitplane.hpp).
       {"bitplane-avx2", bitplane::avx2_kernel_compiled(), f.avx2},

@@ -35,21 +35,17 @@ namespace scnn::nn {
 /// mac_rows kernel selection, carried by EngineConfig::backend. kAuto picks
 /// the widest kernel this machine supports (overridable via the
 /// SCNN_BACKEND environment variable, which also accepts a concrete kernel
-/// name like "avx2", and steerable by an installed autotune file — explicit
-/// requests are never overridden); kScalar forces the reference kernel;
-/// kSimd requires a SIMD kernel and makes engine construction throw where
-/// none is compiled or supported. kPopcount selects the bit-parallel
-/// popcount datapath (src/nn/popcount_engine) instead of a LUT kernel — it
-/// exists only for the proposed multiplier and engine construction throws
-/// for any other product table.
-enum class MacBackend { kAuto, kScalar, kSimd, kPopcount };
+/// name like "avx2" — explicit requests are never overridden); kScalar
+/// forces the reference kernel; kSimd requires a SIMD kernel and makes
+/// engine construction throw where none is compiled or supported.
+enum class MacBackend { kAuto, kScalar, kSimd };
 
-/// Canonical spelling: "auto" | "scalar" | "simd" | "popcount".
+/// Canonical spelling: "auto" | "scalar" | "simd".
 [[nodiscard]] std::string to_string(MacBackend backend);
 /// Parse the canonical spelling; throws std::invalid_argument listing the
 /// accepted names otherwise. Concrete kernel names ("avx2", "avx512", ...)
 /// are *not* MacBackend values — they are accepted only by the SCNN_BACKEND
-/// environment variable and tune files, which steer kAuto resolution.
+/// environment variable, which steers kAuto resolution.
 [[nodiscard]] MacBackend mac_backend_from_string(std::string_view s);
 
 namespace backends {
@@ -124,17 +120,15 @@ struct Kernel {
 /// Case-sensitive lookup of a *runnable* kernel by name ("scalar", "sse2",
 /// "avx2", "avx512", "neon"); nullptr when that kernel is not compiled or
 /// not supported on this machine. This is how the SCNN_BACKEND environment
-/// variable and tune files name concrete kernels.
+/// variable names concrete kernels.
 [[nodiscard]] const Kernel* kernel_by_name(std::string_view name);
 
 /// Resolve a backend request to a kernel. kAuto consults the SCNN_BACKEND
 /// environment variable first (auto | scalar | simd | a concrete kernel
-/// name; anything else throws), then an installed autotune file
-/// (nn::active_tune), then falls back to best_simd_kernel() or scalar.
-/// kSimd throws std::invalid_argument naming the available kernels when no
-/// SIMD kernel is compiled+supported — a requested backend never degrades
-/// silently. kPopcount throws here: it is an engine-level datapath, not a
-/// mac_rows kernel (make_engine intercepts it before kernel selection).
+/// name; anything else throws), then falls back to best_simd_kernel() or
+/// scalar. kSimd throws std::invalid_argument naming the available kernels
+/// when no SIMD kernel is compiled+supported — a requested backend never
+/// degrades silently.
 [[nodiscard]] const Kernel& select_kernel(MacBackend backend);
 
 /// Every kernel runnable on this machine, scalar first. Tests iterate this
@@ -142,12 +136,11 @@ struct Kernel {
 [[nodiscard]] std::vector<const Kernel*> available_kernels();
 
 /// Compiled-vs-supported inventory of every kernel family this build knows
-/// about, plus the popcount datapath's SIMD tier and the bit-plane stage — `scnn_cli info` prints
-/// this so tune/bench logs explain why a kernel was skipped (e.g. CPU has
-/// avx512 but the compiler was too old to build the kernel, or vice versa).
+/// about, plus the bit-plane stage — `scnn_cli info` prints this so bench
+/// logs explain why a kernel was skipped (e.g. CPU has avx512 but the
+/// compiler was too old to build the kernel, or vice versa).
 struct KernelSupport {
-  const char* name;     ///< kernel family ("avx512", ...), "popcount-simd"
-                        ///< or "bitplane-avx2"
+  const char* name;     ///< kernel family ("avx512", ...) or "bitplane-avx2"
   bool compiled;        ///< the build carries the kernel
   bool supported;       ///< cpu_features() says this machine can run it
 };
@@ -158,9 +151,6 @@ struct KernelSupport {
 [[nodiscard]] bool avx2_kernel_compiled();
 [[nodiscard]] bool avx512_kernel_compiled();
 [[nodiscard]] bool neon_kernel_compiled();
-/// Whether the popcount engine's vpopcntdq SIMD path was built (the engine
-/// itself always exists — it falls back to scalar __builtin_popcountll).
-[[nodiscard]] bool popcount_simd_compiled();
 
 }  // namespace backends
 }  // namespace scnn::nn

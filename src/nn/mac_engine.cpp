@@ -7,7 +7,6 @@
 
 #include "common/fixed_point.hpp"
 #include "core/scmac.hpp"
-#include "nn/popcount_engine.hpp"
 #include "obs/report.hpp"
 
 namespace scnn::nn {
@@ -41,11 +40,18 @@ const bitplane::Kernel* select_bitplane(bool proposed_table, int n_bits,
   return bitplane::avx2_kernel();
 }
 
+/// What an engine over `kernel`, with `stage` in front (or none), runs at
+/// n + a = `bits`. Past 30 bits mac_rows takes Kernel::wide — the kernel's
+/// own int64 lanes where it has a native wide variant (avx512), the shared
+/// scalar block otherwise; the stage only exists for narrow configurations.
 MacEngine::Description describe_kernels(const backends::Kernel& kernel,
-                                        const bitplane::Kernel* stage) {
-  if (!stage) return {.backend = kernel.name, .lanes = kernel.lanes};
-  return {.backend = std::string("bitplane-") + stage->name + "+" + kernel.name,
-          .lanes = kernel.lanes};
+                                        const bitplane::Kernel* stage, int bits) {
+  if (stage)
+    return {.backend = std::string("bitplane-") + stage->name + "+" + kernel.name,
+            .lanes = kernel.lanes};
+  if (bits <= 30) return {.backend = kernel.name, .lanes = kernel.lanes};
+  if (!backends::kernel_has_native_wide(kernel)) return {.backend = "scalar", .lanes = 8};
+  return {.backend = kernel.name, .lanes = kernel.wide_lanes};
 }
 
 }  // namespace
@@ -73,12 +79,8 @@ void EngineConfig::validate() const {
       kind != EngineKind::kProposed)
     fail("invalid kind enum value " + std::to_string(static_cast<int>(kind)));
   if (backend != MacBackend::kAuto && backend != MacBackend::kScalar &&
-      backend != MacBackend::kSimd && backend != MacBackend::kPopcount)
+      backend != MacBackend::kSimd)
     fail("invalid backend enum value " + std::to_string(static_cast<int>(backend)));
-  if (backend == MacBackend::kPopcount && kind != EngineKind::kProposed)
-    fail("backend = popcount simulates the proposed multiplier's bit-parallel "
-         "ones-counter datapath, which only exists for kind = proposed (got "
-         "kind = " + to_string(kind) + ")");
   if (sparsity != Sparsity::kDense && sparsity != Sparsity::kZeroSkip &&
       sparsity != Sparsity::kAuto)
     fail("invalid sparsity enum value " + std::to_string(static_cast<int>(sparsity)));
@@ -94,14 +96,6 @@ void EngineConfig::validate() const {
   if (threads < 0 || threads > kMaxThreads)
     fail("threads = " + std::to_string(threads) + " out of range [0, " +
          std::to_string(kMaxThreads) + "] (0 = auto)");
-  if (im2col_tile < 0 || im2col_tile > kMaxIm2colTile)
-    fail("im2col_tile = " + std::to_string(im2col_tile) + " out of range [0, " +
-         std::to_string(kMaxIm2colTile) + "] (0 = auto)");
-  if (backend == MacBackend::kPopcount &&
-      !popcount_bit_parallel_ok(n_bits, bit_parallel))
-    fail("backend = popcount needs bit_parallel to be a power of two in "
-         "[1, min(64, 2^(n_bits-1))], got bit_parallel = " +
-         std::to_string(bit_parallel) + " at n_bits = " + std::to_string(n_bits));
 }
 
 std::string EngineConfig::label() const {
@@ -127,7 +121,6 @@ std::string EngineConfig::to_json() const {
          ",\"accum_bits\":" + std::to_string(accum_bits) +
          ",\"bit_parallel\":" + std::to_string(bit_parallel) +
          ",\"threads\":" + std::to_string(threads) +
-         ",\"im2col_tile\":" + std::to_string(im2col_tile) +
          ",\"instrument\":" + (instrument ? "true" : "false") + "}";
 }
 
@@ -221,8 +214,6 @@ EngineConfig EngineConfig::from_json(std::string_view json) {
         cfg.bit_parallel = in.parse_int();
       } else if (key == "threads") {
         cfg.threads = in.parse_int();
-      } else if (key == "im2col_tile") {
-        cfg.im2col_tile = in.parse_int();
       } else if (key == "instrument") {
         cfg.instrument = in.parse_bool();
       } else {
@@ -253,42 +244,32 @@ bool lut_annihilates_zero(const sc::ProductLut& lut) {
   return true;
 }
 
-bool resolve_zero_skip(Sparsity sparsity, bool annihilates,
-                       const std::string& table_name) {
-  if (sparsity == Sparsity::kAuto) {
-    // Global override hook for CI and A/B runs, mirroring SCNN_BACKEND:
-    // steers every kAuto engine in the process, never an explicit request.
-    // The env value only steers which way auto leans — unlike an explicit
-    // kZeroSkip request it cannot make an illegal schedule legal, so
-    // SCNN_SPARSITY=zero_skip on a non-annihilating table (sc-lfsr) stays
-    // dense instead of throwing. That is what lets a CI leg pin the whole
-    // suite to zero-skip without breaking conventional-SC tests.
-    if (const char* env = std::getenv("SCNN_SPARSITY"); env && *env) {
-      const Sparsity leaning = sparsity_from_string(env);  // throws on typos
-      if (leaning == Sparsity::kDense) return false;
-      return annihilates;
-    }
-    return annihilates;
-  }
+bool resolve_zero_skip(Sparsity sparsity, const sc::ProductLut& lut) {
   switch (sparsity) {
     case Sparsity::kDense:
       return false;
     case Sparsity::kZeroSkip:
-      if (!annihilates)
+      if (!lut_annihilates_zero(lut))
         throw std::invalid_argument(
-            "sparsity = zero-skip, but the " + table_name +
+            "sparsity = zero-skip, but the " + lut.name() +
             " product table does not annihilate zero weight codes "
             "(product(0, qx) != 0 for some qx), so skipping k = 0 products "
             "would change results — use sparsity = dense or auto");
       return true;
     case Sparsity::kAuto:
-      return annihilates;
+      // Global override hook for CI and A/B runs, mirroring SCNN_BACKEND:
+      // steers every kAuto engine in the process, never an explicit request.
+      // The env value only steers which way auto leans — unlike an explicit
+      // kZeroSkip request it cannot make an illegal schedule legal, so
+      // SCNN_SPARSITY=zero_skip on a non-annihilating table (sc-lfsr) stays
+      // dense instead of throwing. That is what lets a CI leg pin the whole
+      // suite to zero-skip without breaking conventional-SC tests.
+      if (const char* env = std::getenv("SCNN_SPARSITY"); env && *env)
+        if (sparsity_from_string(env) == Sparsity::kDense)  // throws on typos
+          return false;
+      return lut_annihilates_zero(lut);
   }
   throw std::invalid_argument("resolve_zero_skip: invalid Sparsity");
-}
-
-bool resolve_zero_skip(Sparsity sparsity, const sc::ProductLut& lut) {
-  return resolve_zero_skip(sparsity, lut_annihilates_zero(lut), lut.name());
 }
 
 LutEngine::LutEngine(sc::ProductLut lut, int accum_bits, MacBackend backend,
@@ -414,22 +395,9 @@ void LutEngine::mac_block(const WeightRows& w, std::span<const std::int32_t> pat
 }
 
 MacEngine::Description LutEngine::describe() const {
-  const std::string sparsity = zero_skip_ ? "zero-skip" : "dense";
-  if (bitplane_) {
-    MacEngine::Description d = describe_kernels(*kernel_, bitplane_);
-    d.sparsity = sparsity;
-    return d;
-  }
-  // n + a > 30 routes mac_rows onto Kernel::wide — report what actually
-  // runs: the kernel's own int64 lanes where it has a native wide variant
-  // (avx512), the shared scalar block otherwise.
-  if (n_ + a_ > 30) {
-    if (!backends::kernel_has_native_wide(*kernel_))
-      return {.backend = "scalar", .lanes = 8, .sparsity = sparsity};
-    return {.backend = kernel_->name, .lanes = kernel_->wide_lanes,
-            .sparsity = sparsity};
-  }
-  return {.backend = kernel_->name, .lanes = kernel_->lanes, .sparsity = sparsity};
+  MacEngine::Description d = describe_kernels(*kernel_, bitplane_, n_ + a_);
+  d.sparsity = zero_skip_ ? "zero-skip" : "dense";
+  return d;
 }
 
 namespace {
@@ -447,48 +415,15 @@ sc::ProductLut make_lut_for(EngineKind kind, int n_bits) {
 
 std::unique_ptr<MacEngine> make_engine(const EngineConfig& cfg) {
   cfg.validate();
-  if (cfg.backend == MacBackend::kPopcount)
-    return std::make_unique<PopcountEngine>(cfg.n_bits, cfg.accum_bits,
-                                            cfg.bit_parallel, cfg.sparsity);
-  if (cfg.backend == MacBackend::kAuto && cfg.kind == EngineKind::kProposed &&
-      popcount_bit_parallel_ok(cfg.n_bits, cfg.bit_parallel)) {
-    // SCNN_BACKEND=popcount leans kAuto engines onto the popcount datapath
-    // where that is legal (proposed arithmetic, compatible b). Like
-    // SCNN_SPARSITY, the env only leans — other kinds keep auto kernel
-    // dispatch instead of throwing, so a CI leg can pin the whole suite.
-    if (const char* env = std::getenv("SCNN_BACKEND");
-        env && std::string_view{env} == "popcount")
-      return std::make_unique<PopcountEngine>(cfg.n_bits, cfg.accum_bits,
-                                              cfg.bit_parallel, cfg.sparsity);
-  }
   return std::make_unique<LutEngine>(make_lut_for(cfg.kind, cfg.n_bits),
                                      cfg.accum_bits, cfg.backend, cfg.sparsity);
 }
 
-MacEngine::Description resolved_backend(MacBackend backend) {
-  if (backend == MacBackend::kPopcount)
-    return {.backend = popcount_backend_name(),
-            .lanes = popcount_backend_lanes()};
-  const backends::Kernel& k = backends::select_kernel(backend);
-  return {.backend = k.name, .lanes = k.lanes};
-}
-
 MacEngine::Description resolved_backend(const EngineConfig& cfg) {
-  // Mirror make_engine's popcount lean: a kAuto proposed engine under
-  // SCNN_BACKEND=popcount resolves to the popcount datapath, not a LUT
-  // kernel — pool keys and reports must see the same answer construction
-  // would give.
-  if (cfg.backend == MacBackend::kAuto && cfg.kind == EngineKind::kProposed &&
-      popcount_bit_parallel_ok(cfg.n_bits, cfg.bit_parallel)) {
-    if (const char* env = std::getenv("SCNN_BACKEND");
-        env && std::string_view{env} == "popcount")
-      return {.backend = popcount_backend_name(),
-              .lanes = popcount_backend_lanes()};
-  }
-  if (cfg.backend == MacBackend::kPopcount) return resolved_backend(cfg.backend);
   const backends::Kernel& k = backends::select_kernel(cfg.backend);
   return describe_kernels(
-      k, select_bitplane(cfg.kind == EngineKind::kProposed, cfg.n_bits, k));
+      k, select_bitplane(cfg.kind == EngineKind::kProposed, cfg.n_bits, k),
+      cfg.n_bits + cfg.accum_bits);
 }
 
 namespace {

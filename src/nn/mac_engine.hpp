@@ -64,15 +64,12 @@ struct EngineConfig {
                             ///< set_instrumentation() toggles it afterwards)
   MacBackend backend = MacBackend::kAuto;  ///< mac_rows kernel: kAuto picks
                                            ///< the widest SIMD kernel this
-                                           ///< machine supports (SCNN_BACKEND
-                                           ///< env and an installed tune file
-                                           ///< steer it), kScalar forces the
-                                           ///< reference kernel, kSimd fails
-                                           ///< loudly when no SIMD kernel is
-                                           ///< available, kPopcount runs the
-                                           ///< bit-parallel popcount datapath
-                                           ///< (proposed arithmetic only; b =
-                                           ///< bit_parallel). Logits and
+                                           ///< machine supports (the
+                                           ///< SCNN_BACKEND env steers it),
+                                           ///< kScalar forces the reference
+                                           ///< kernel, kSimd fails loudly
+                                           ///< when no SIMD kernel is
+                                           ///< available. Logits and
                                            ///< MacStats are bit-identical
                                            ///< across all of them.
   Sparsity sparsity = Sparsity::kAuto;  ///< zero-skip scheduling: kAuto skips
@@ -84,11 +81,6 @@ struct EngineConfig {
                                         ///< skipping would change results.
                                         ///< Logits and MacStats arithmetic are
                                         ///< bit-identical either way.
-  int im2col_tile = 0;  ///< im2col column-chunk width handed to mac_rows per
-                        ///< call (the j-block of the batched kernels). 0 =
-                        ///< auto: an installed tune file's best tile, else the
-                        ///< full output row. Pure scheduling — logits and
-                        ///< MacStats are bit-identical for every tile.
 
   /// Supported precision window. The LUT is 2^(2N) int16 entries, so N = 12
   /// (32 MiB) is the practical ceiling; N = 2 is sign + one magnitude bit.
@@ -97,7 +89,6 @@ struct EngineConfig {
   static constexpr int kMaxAccumBits = 20;
   static constexpr int kMaxBitParallel = 256;
   static constexpr int kMaxThreads = 256;
-  static constexpr int kMaxIm2colTile = 1 << 16;
 
   /// Throws std::invalid_argument with a field-naming message if any value
   /// is out of range (instead of silently building an out-of-range LUT).
@@ -113,8 +104,7 @@ struct EngineConfig {
 
   /// Flat JSON object carrying every field, e.g.
   ///   {"kind":"proposed","backend":"auto","sparsity":"auto","n_bits":8,
-  ///    "accum_bits":2,"bit_parallel":1,"threads":1,"im2col_tile":0,
-  ///    "instrument":false}
+  ///    "accum_bits":2,"bit_parallel":1,"threads":1,"instrument":false}
   /// — the round-trippable form --metrics-out snapshots stamp and
   /// `scnn_cli serve --engine-config=` accepts.
   [[nodiscard]] std::string to_json() const;
@@ -217,7 +207,7 @@ class MacEngine {
   /// code produced them.
   struct Description {
     std::string backend;  ///< "serial" | "scalar" | "sse2" | "avx2" |
-                          ///< "avx512" | "neon" | "popcount[-avx512]", or
+                          ///< "avx512" | "neon", or
                           ///< "bitplane-<stage>+<LUT kernel>" when the
                           ///< bit-plane stage runs in front of a LUT kernel
                           ///< (e.g. "bitplane-avx2+avx512")
@@ -360,14 +350,10 @@ class LutEngine final : public MacEngine {
 /// backend = kSimd on a machine with no SIMD kernel).
 std::unique_ptr<MacEngine> make_engine(const EngineConfig& cfg);
 
-/// Description of the mac_rows kernel an engine built with `backend` would
-/// dispatch to on this machine (same resolution rules as construction,
-/// including the SCNN_BACKEND override and the kSimd-unavailable throw).
-[[nodiscard]] MacEngine::Description resolved_backend(MacBackend backend);
-
-/// Config-aware overload: additionally applies make_engine's popcount lean
-/// (SCNN_BACKEND=popcount on a kAuto proposed-kind config), so the answer
-/// always matches what construction would actually build.
+/// Description of the kernels an engine built from `cfg` would dispatch to
+/// on this machine (same resolution rules as construction, including the
+/// SCNN_BACKEND override, the bit-plane stage and the kSimd-unavailable
+/// throw). Sparsity is not resolved here and reads "dense".
 [[nodiscard]] MacEngine::Description resolved_backend(const EngineConfig& cfg);
 
 /// True when `lut` maps a zero weight code to a zero product for every
@@ -385,12 +371,5 @@ std::unique_ptr<MacEngine> make_engine(const EngineConfig& cfg);
 /// (auto | dense | zero-skip, anything else throws; explicit requests are
 /// never overridden), then skips exactly when the table annihilates zero.
 [[nodiscard]] bool resolve_zero_skip(Sparsity sparsity, const sc::ProductLut& lut);
-
-/// Table-free form of the rule above for engines that know their
-/// annihilation property without materializing a ProductLut (the popcount
-/// engine: the proposed multiplier annihilates zero by construction).
-/// `table_name` only flavours the kZeroSkip error message.
-[[nodiscard]] bool resolve_zero_skip(Sparsity sparsity, bool annihilates,
-                                     const std::string& table_name);
 
 }  // namespace scnn::nn

@@ -34,20 +34,14 @@ void set_conv_cycle_accounting(Network& net, bool on) {
   for (Conv2D* c : net.conv_layers()) c->set_cycle_accounting(on);
 }
 
-void set_conv_im2col_tile(Network& net, int tile) {
-  for (Conv2D* c : net.conv_layers()) c->set_im2col_tile(tile);
-}
-
 const MacEngine* EnginePool::get(const EngineConfig& cfg) {
   cfg.validate();
   // Everything that changes engine identity: kind + N (label), accumulator
   // width, the requested backend, and the requested sparsity mode (label
   // only carries non-default values, so spell both out — kAuto must not
   // alias kScalar/kDense). The backend request alone is not enough: kAuto
-  // resolution reads the SCNN_BACKEND env and the installed tune file, and
-  // the popcount engine's datapath depends on bit_parallel — fold the
-  // *resolved* backend name in so a pooled engine never survives a change
-  // of either input.
+  // resolution reads the SCNN_BACKEND env — fold the *resolved* backend name
+  // in so a pooled engine never survives a change of it.
   std::string resolved;
   try {
     resolved = resolved_backend(cfg).backend;
@@ -57,7 +51,6 @@ const MacEngine* EnginePool::get(const EngineConfig& cfg) {
   const std::string key = cfg.label() + "/A=" + std::to_string(cfg.accum_bits) +
                           "/B=" + to_string(cfg.backend) +
                           "/R=" + resolved +
-                          "/b=" + std::to_string(cfg.bit_parallel) +
                           "/S=" + to_string(cfg.sparsity);
   for (std::size_t i = 0; i < keys_.size(); ++i)
     if (keys_[i] == key) return engines_[i].get();

@@ -32,17 +32,12 @@ void set_conv_im2col(Network& net, bool on);
 /// uninstrumented speed.
 void set_conv_cycle_accounting(Network& net, bool on);
 
-/// Set the im2col column-tile width on every convolution layer (0 = full
-/// output row). Pure scheduling — logits and MacStats are bit-identical for
-/// every width; the winning width comes from `scnn_cli tune`.
-void set_conv_im2col_tile(Network& net, int tile);
-
 /// Owns the engines for a sweep so layers can borrow raw pointers safely.
 /// Engines are deduplicated on everything that changes engine identity:
-/// (kind, n_bits, accum_bits, requested + resolved backend, bit_parallel,
-/// sparsity). The resolved backend is part of the key because kAuto reads
-/// the SCNN_BACKEND env and the installed tune file — a cached engine must
-/// not outlive a change of either. Threads stay out (pure scheduling).
+/// (kind, n_bits, accum_bits, requested + resolved backend, sparsity). The
+/// resolved backend is part of the key because kAuto reads the SCNN_BACKEND
+/// env — a cached engine must not outlive a change of it. Threads and
+/// bit_parallel stay out (scheduling and cycle accounting only).
 class EnginePool {
  public:
   /// Get-or-create the engine for a configuration (validated on entry).

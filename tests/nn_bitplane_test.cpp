@@ -14,6 +14,7 @@
 
 #include "common/fixed_point.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/ld_sequence.hpp"
 #include "core/scmac.hpp"
 #include "data/synthetic_digits.hpp"
@@ -219,8 +220,8 @@ TEST(BitplaneStage, BlocksMatchScalarReferenceIncludingFallback) {
 // still reproduce the LUT-only references byte for byte — logits and the
 // MacStats arithmetic — and report the outputs it handed back. MNIST conv1
 // sees all-non-negative blocks (images in [0, 1]); conv2 has no ReLU in
-// front of it, so its blocks are signed. An im2col tile of 5 leaves tails
-// that are not a multiple of the register tile.
+// front of it, so its blocks are signed, and its 8-wide output rows leave a
+// 2-patch tail after the 3-patch register tiles.
 TEST(BitplaneStage, AdversarialConvMatchesLutReferences) {
   if (!bitplane::avx2_kernel() || !nn::backends::best_simd_kernel())
     GTEST_SKIP() << "no bit-plane kernel on this machine";
@@ -240,25 +241,78 @@ TEST(BitplaneStage, AdversarialConvMatchesLutReferences) {
 
     for (const nn::Sparsity sparsity : {nn::Sparsity::kDense, nn::Sparsity::kAuto}) {
       for (const int threads : {1, 4}) {
-        for (const int tile : {0, 5}) {
-          session.set_engine({.kind = EngineKind::kProposed, .n_bits = n_bits,
-                              .threads = threads, .backend = MacBackend::kSimd,
-                              .sparsity = sparsity, .im2col_tile = tile});
-          const std::string ctx = "N=" + std::to_string(n_bits) + " " +
-                                  to_string(sparsity) + " threads=" +
-                                  std::to_string(threads) + " tile=" + std::to_string(tile);
-          EXPECT_EQ(session.backend().backend.rfind("bitplane-avx2+", 0), 0u) << ctx;
-          const nn::Tensor got = session.forward(data.images);
-          ASSERT_TRUE(ref.same_shape(got)) << ctx;
-          EXPECT_EQ(std::memcmp(ref.data().data(), got.data().data(),
-                                ref.size() * sizeof(float)),
-                    0)
-              << ctx;
-          const MacStats& stats = session.last_forward_stats();
-          EXPECT_EQ(stats, ref_stats) << ctx;
-          EXPECT_GT(stats.uncertified, 0u) << ctx;
-          EXPECT_LT(stats.uncertified, stats.macs) << ctx;
-        }
+        session.set_engine({.kind = EngineKind::kProposed, .n_bits = n_bits,
+                            .threads = threads, .backend = MacBackend::kSimd,
+                            .sparsity = sparsity});
+        const std::string ctx = "N=" + std::to_string(n_bits) + " " +
+                                to_string(sparsity) + " threads=" + std::to_string(threads);
+        EXPECT_EQ(session.backend().backend.rfind("bitplane-avx2+", 0), 0u) << ctx;
+        const nn::Tensor got = session.forward(data.images);
+        ASSERT_TRUE(ref.same_shape(got)) << ctx;
+        EXPECT_EQ(std::memcmp(ref.data().data(), got.data().data(),
+                              ref.size() * sizeof(float)),
+                  0)
+            << ctx;
+        const MacStats& stats = session.last_forward_stats();
+        EXPECT_EQ(stats, ref_stats) << ctx;
+        EXPECT_GT(stats.uncertified, 0u) << ctx;
+        EXPECT_LT(stats.uncertified, stats.macs) << ctx;
+      }
+    }
+  }
+}
+
+// Conv2D hands the stage one block per output row, so the row width sets
+// the patch tail: widths 5, 7 and 13 leave 2-, 1- and 1-patch tails after
+// the 3-patch register tiles, and odd filter counts leave a 1-row tail after
+// the 2-row tiles. Signed inputs and weights scaled past calibration put
+// some outputs at the rails, so certified outputs and LUT fallbacks share
+// every row; the layer must still match the LUT-only reference byte for
+// byte, serial and sharded.
+TEST(BitplaneStage, RaggedConvRowsMatchLutReference) {
+  if (!bitplane::avx2_kernel() || !nn::backends::best_simd_kernel())
+    GTEST_SKIP() << "no bit-plane kernel on this machine";
+  struct Shape {
+    int width, in_ch, out_ch;
+  };
+  common::ThreadPool pool(4);
+  for (const Shape shape : {Shape{5, 2, 3}, Shape{7, 3, 5}, Shape{13, 1, 3}}) {
+    nn::Conv2D conv(shape.in_ch, shape.out_ch, 3, 1, 1);
+    conv.init_weights(static_cast<std::uint64_t>(shape.width));
+    nn::Tensor x(2, shape.in_ch, 4, shape.width);
+    common::SplitMix64 rng(static_cast<std::uint64_t>(100 + shape.width));
+    for (float& v : x.data()) v = static_cast<float>(rng.next_in(-1.0, 1.0));
+    conv.calibrate_scales(x);
+    for (float& v : conv.mutable_weight().data()) v *= 3.0f;
+    for (const int n_bits : {5, 8}) {
+      const auto ref_engine = nn::make_engine({.kind = EngineKind::kProposed,
+                                               .n_bits = n_bits,
+                                               .backend = MacBackend::kScalar,
+                                               .sparsity = nn::Sparsity::kDense});
+      const auto engine = nn::make_engine(
+          {.kind = EngineKind::kProposed, .n_bits = n_bits, .backend = MacBackend::kSimd});
+      ASSERT_TRUE(engine->bitplane_stage());
+      conv.set_thread_pool(nullptr);
+      conv.set_engine(ref_engine.get());
+      const nn::Tensor ref = conv.forward(x);
+      const MacStats ref_stats = conv.last_forward_stats();
+      conv.set_engine(engine.get());
+      for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr), &pool}) {
+        conv.set_thread_pool(p);
+        const std::string ctx = "C=" + std::to_string(shape.width) +
+                                " out_ch=" + std::to_string(shape.out_ch) +
+                                " N=" + std::to_string(n_bits) +
+                                (p ? " sharded" : " serial");
+        const nn::Tensor got = conv.forward(x);
+        ASSERT_TRUE(ref.same_shape(got)) << ctx;
+        EXPECT_EQ(std::memcmp(ref.data().data(), got.data().data(),
+                              ref.size() * sizeof(float)),
+                  0)
+            << ctx;
+        const MacStats& stats = conv.last_forward_stats();
+        EXPECT_EQ(stats, ref_stats) << ctx;
+        EXPECT_GT(stats.uncertified, 0u) << ctx;
+        EXPECT_LT(stats.uncertified, stats.macs) << ctx;
       }
     }
   }

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "nn/mac_backends/mac_backends.hpp"
 #include "nn/mac_engine.hpp"
 #include "nn/network.hpp"
+#include "scoped_env.hpp"
 
 namespace scnn {
 namespace {
@@ -43,26 +43,6 @@ std::vector<std::int32_t> random_codes(std::size_t count, int n_bits,
         half;
   return codes;
 }
-
-/// Parks an ambient SCNN_BACKEND (the forced-backend CI legs) for the test's
-/// duration and restores it afterwards. Tests asserting where kAuto *resolves*
-/// need this, because the env legitimately outranks the default preference
-/// order — under SCNN_BACKEND=scalar, kAuto honestly resolves to scalar.
-struct BackendEnvGuard {
-  BackendEnvGuard() {
-    if (const char* env = std::getenv("SCNN_BACKEND")) {
-      saved = env;
-      unsetenv("SCNN_BACKEND");
-    }
-  }
-  ~BackendEnvGuard() {
-    if (saved)
-      setenv("SCNN_BACKEND", saved->c_str(), 1);
-    else
-      unsetenv("SCNN_BACKEND");
-  }
-  std::optional<std::string> saved;
-};
 
 TEST(MacBackends, EveryAvailableKernelMatchesScalarReference) {
   const Kernel& scalar = nn::backends::scalar_kernel();
@@ -260,29 +240,77 @@ TEST(MacBackends, SessionForwardBitIdenticalScalarVsSimdAt1And4Threads) {
   }
 }
 
-TEST(MacBackends, EnvOverrideForcesAutoButNeverExplicitRequests) {
-  BackendEnvGuard guard;  // restores any ambient value for later tests
-  ASSERT_EQ(setenv("SCNN_BACKEND", "scalar", /*overwrite=*/1), 0);
-  EXPECT_EQ(nn::resolved_backend(MacBackend::kAuto).backend, "scalar");
-  // An explicit request wins over the environment.
-  EXPECT_EQ(nn::resolved_backend(MacBackend::kScalar).backend, "scalar");
-  if (const Kernel* simd = nn::backends::best_simd_kernel())
-    EXPECT_EQ(nn::resolved_backend(MacBackend::kSimd).backend, simd->name);
+/// What an engine of `kind` built with `backend` would run here. The fixed
+/// kind has no bit-plane stage, so this names the bare LUT kernel.
+std::string resolved_kernel(MacBackend backend, EngineKind kind = EngineKind::kFixed) {
+  return nn::resolved_backend(EngineConfig{.kind = kind, .n_bits = 8, .backend = backend})
+      .backend;
+}
 
-  // The env channel also accepts concrete kernel names (tune-file idiom).
+TEST(MacBackends, EnvOverrideForcesAutoButNeverExplicitRequests) {
+  ScopedUnsetEnv guard("SCNN_BACKEND");  // restores any ambient value for later tests
+  ASSERT_EQ(setenv("SCNN_BACKEND", "scalar", /*overwrite=*/1), 0);
+  EXPECT_EQ(resolved_kernel(MacBackend::kAuto), "scalar");
+  // The scalar kernel is the LUT-only reference: no bit-plane stage even for
+  // the proposed kind.
+  EXPECT_EQ(resolved_kernel(MacBackend::kAuto, EngineKind::kProposed), "scalar");
+  // An explicit request wins over the environment.
+  EXPECT_EQ(resolved_kernel(MacBackend::kScalar), "scalar");
+  const Kernel* simd = nn::backends::best_simd_kernel();
+  if (simd) EXPECT_EQ(resolved_kernel(MacBackend::kSimd), simd->name);
+
+  // The env's "simd" spelling forces kAuto onto the widest SIMD kernel, and
+  // fails loudly where there is none, exactly like an explicit kSimd.
+  ASSERT_EQ(setenv("SCNN_BACKEND", "simd", 1), 0);
+  if (simd)
+    EXPECT_EQ(resolved_kernel(MacBackend::kAuto), simd->name);
+  else
+    EXPECT_THROW((void)resolved_kernel(MacBackend::kAuto), std::invalid_argument);
+  EXPECT_EQ(resolved_kernel(MacBackend::kScalar), "scalar");
+
+  // The env channel also accepts concrete kernel names (A/B idiom).
   for (const Kernel* k : nn::backends::available_kernels()) {
     ASSERT_EQ(setenv("SCNN_BACKEND", k->name, 1), 0);
-    EXPECT_EQ(nn::resolved_backend(MacBackend::kAuto).backend, k->name);
+    EXPECT_EQ(resolved_kernel(MacBackend::kAuto), k->name);
   }
 
   ASSERT_EQ(setenv("SCNN_BACKEND", "bogus", 1), 0);
-  EXPECT_THROW((void)nn::resolved_backend(MacBackend::kAuto), std::invalid_argument);
-  EXPECT_NO_THROW((void)nn::resolved_backend(MacBackend::kScalar));
+  EXPECT_THROW((void)resolved_kernel(MacBackend::kAuto), std::invalid_argument);
+  EXPECT_NO_THROW((void)resolved_kernel(MacBackend::kScalar));
 
   ASSERT_EQ(unsetenv("SCNN_BACKEND"), 0);
-  const Kernel* simd = nn::backends::best_simd_kernel();
-  EXPECT_EQ(nn::resolved_backend(MacBackend::kAuto).backend,
-            simd ? simd->name : "scalar");
+  EXPECT_EQ(resolved_kernel(MacBackend::kAuto), simd ? simd->name : "scalar");
+}
+
+TEST(MacBackends, ResolvedBackendMatchesWhatMakeEngineBuildsUnderEveryEnv) {
+  // Pool keys, `scnn_cli info` and report stamps all read resolved_backend;
+  // it must name what construction actually builds — the bit-plane stage
+  // included — under every value the SCNN_BACKEND env can take.
+  ScopedUnsetEnv guard("SCNN_BACKEND");
+  std::vector<std::string> envs{"", "auto", "scalar"};
+  if (nn::backends::best_simd_kernel()) envs.push_back("simd");
+  for (const Kernel* k : nn::backends::available_kernels()) envs.push_back(k->name);
+  for (const std::string& env : envs) {
+    if (env.empty())
+      ASSERT_EQ(unsetenv("SCNN_BACKEND"), 0);
+    else
+      ASSERT_EQ(setenv("SCNN_BACKEND", env.c_str(), 1), 0);
+    // Narrow and wide accumulators, with and without the bit-plane stage.
+    for (EngineConfig cfg : {EngineConfig{.kind = EngineKind::kProposed, .n_bits = 8},
+                             EngineConfig{.kind = EngineKind::kProposed, .n_bits = 10},
+                             EngineConfig{.kind = EngineKind::kScLfsr, .n_bits = 6},
+                             EngineConfig{.kind = EngineKind::kFixed, .n_bits = 8},
+                             EngineConfig{.kind = EngineKind::kFixed, .n_bits = 12,
+                                          .accum_bits = 20}}) {
+      for (const MacBackend backend : {MacBackend::kAuto, MacBackend::kScalar}) {
+        cfg.backend = backend;
+        const nn::MacEngine::Description want = nn::make_engine(cfg)->describe();
+        const nn::MacEngine::Description got = nn::resolved_backend(cfg);
+        EXPECT_EQ(got.backend, want.backend) << "env='" << env << "' " << cfg.label();
+        EXPECT_EQ(got.lanes, want.lanes) << "env='" << env << "' " << cfg.label();
+      }
+    }
+  }
 }
 
 TEST(MacBackends, SimdRequestThrowsWhereUnavailable) {
@@ -308,7 +336,7 @@ TEST(MacBackends, WideAccumulatorConfigReportsTheRealWidePath) {
   // narrow lanes. Kernels without a native wide path (sse2/avx2/neon) share
   // the scalar int64 block, and describe() must say "scalar" honestly;
   // AVX-512 carries its own 8x int64 wide kernel and keeps its name.
-  BackendEnvGuard guard;  // this asserts kAuto resolution; park any ambient env
+  ScopedUnsetEnv guard("SCNN_BACKEND");  // this asserts kAuto resolution
   const auto engine = nn::make_engine({.kind = EngineKind::kFixed, .n_bits = 12,
                                        .accum_bits = 20,
                                        .backend = MacBackend::kAuto});
@@ -332,12 +360,13 @@ TEST(MacBackends, WideAccumulatorConfigReportsTheRealWidePath) {
 }
 
 TEST(MacBackends, BackendStringsRoundTrip) {
-  for (const MacBackend b : {MacBackend::kAuto, MacBackend::kScalar,
-                             MacBackend::kSimd, MacBackend::kPopcount})
+  for (const MacBackend b : {MacBackend::kAuto, MacBackend::kScalar, MacBackend::kSimd})
     EXPECT_EQ(nn::mac_backend_from_string(to_string(b)), b);
   // Concrete kernel names are not MacBackend values — they belong to the
-  // SCNN_BACKEND env / tune-file channel (kernel_by_name), not the config.
+  // SCNN_BACKEND env channel (kernel_by_name), not the config.
   EXPECT_THROW(nn::mac_backend_from_string("avx512"), std::invalid_argument);
+  // A config naming a backend this build lacks fails loudly, never silently.
+  EXPECT_THROW(nn::mac_backend_from_string("popcount"), std::invalid_argument);
 }
 
 TEST(MacBackends, KernelByNameFindsExactlyTheRunnableKernels) {
@@ -365,9 +394,8 @@ TEST(MacBackends, KernelSupportInventoryIsConsistent) {
       EXPECT_TRUE(s.compiled);
       EXPECT_TRUE(s.supported);
     }
-    // Engine datapaths, not mac_rows kernels: the popcount engine's SIMD
-    // tier and the proposed engine's bit-plane stage.
-    if (name == "popcount-simd" || name == "bitplane-avx2") continue;
+    // The proposed engine's bit-plane stage, not a mac_rows kernel.
+    if (name == "bitplane-avx2") continue;
     EXPECT_EQ(s.compiled && s.supported,
               nn::backends::kernel_by_name(name) != nullptr)
         << name;

@@ -24,6 +24,7 @@
 #include "nn/mac_backends/mac_backends.hpp"
 #include "nn/network.hpp"
 #include "nn/quantize.hpp"
+#include "scoped_env.hpp"
 
 namespace scnn::nn {
 namespace {
@@ -150,6 +151,8 @@ TEST(WeightedShardPlan, PlannedForVisitsEachItemOnceWithPlanShardIndices) {
 }
 
 TEST(ZeroSkipResolution, AutoSkipsOnlyForZeroAnnihilatingTables) {
+  // This asserts kAuto resolution, which an ambient SCNN_SPARSITY outranks.
+  ScopedUnsetEnv guard("SCNN_SPARSITY");
   // fixed and proposed tables annihilate zero by construction; conventional
   // bipolar SC (sc-lfsr) does not — a zero code still contributes there.
   for (const EngineKind kind : {EngineKind::kFixed, EngineKind::kProposed}) {
@@ -174,6 +177,7 @@ TEST(ZeroSkipResolution, AutoSkipsOnlyForZeroAnnihilatingTables) {
 }
 
 TEST(ZeroSkipResolution, EnvSteersAutoButNeverExplicitRequests) {
+  ScopedUnsetEnv guard("SCNN_SPARSITY");  // restores any ambient value
   ASSERT_EQ(setenv("SCNN_SPARSITY", "dense", /*overwrite=*/1), 0);
   EXPECT_FALSE(make_engine({.kind = EngineKind::kProposed, .n_bits = 8})->zero_skip());
   // Explicit requests win over the environment.
@@ -189,7 +193,6 @@ TEST(ZeroSkipResolution, EnvSteersAutoButNeverExplicitRequests) {
                std::invalid_argument);
   EXPECT_NO_THROW((void)make_engine({.kind = EngineKind::kProposed, .n_bits = 8,
                                      .sparsity = Sparsity::kDense}));
-  ASSERT_EQ(unsetenv("SCNN_SPARSITY"), 0);
 }
 
 TEST(ZeroSkipMacRows, PackedViewMatchesDenseAndBooksSkippedProducts) {

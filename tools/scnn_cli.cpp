@@ -54,9 +54,7 @@
 #include "common/cpu_features.hpp"
 #include "common/table.hpp"
 #include "data/image_io.hpp"
-#include "nn/autotune.hpp"
 #include "nn/mac_backends/mac_backends.hpp"
-#include "nn/popcount_engine.hpp"
 #include "data/idx_loader.hpp"
 #include "data/synthetic_digits.hpp"
 #include "data/synthetic_objects.hpp"
@@ -111,8 +109,6 @@ int usage() {
       "                  [--session-threads=T] [--deadline-us=D] [--count=N]\n"
       "                  [--trace-out=FILE] [--dump-flight=FILE]\n"
       "                  [--metrics-interval-ms=M]\n"
-      "  scnn_cli tune   [digits|objects] [--ckpt=FILE] [--bits=N] [--accum=A]\n"
-      "                  [--out=FILE] [--count=N] [--reps=R] [--quick]\n"
       "  scnn_cli info\n"
       "flags take the form --key=value; --threads=0 uses every hardware thread\n"
       "every command accepts --metrics-out=FILE to dump a JSON metrics snapshot\n"
@@ -120,10 +116,6 @@ int usage() {
       "schedule (zero-skip skips k=0 products; bit-identical results either way);\n"
       "serve's --engine-config takes EngineConfig::to_json() output and excludes\n"
       "the individual --engine/--bits/--accum/--backend/--sparsity flags\n"
-      "`tune` measures the (kernel x im2col-tile x threads) grid on this machine\n"
-      "and writes tune.json; install it with --tune-file=FILE (eval/sweep/stats/\n"
-      "serve) or the SCNN_TUNE_FILE env to steer --backend=auto dispatch — pure\n"
-      "scheduling, logits stay bit-identical (a wrong-CPU file is rejected)\n"
       "serve observability: --trace-out exports the per-request span tree\n"
       "(chrome://tracing JSON), --dump-flight writes the forensic event ring,\n"
       "and --metrics-interval-ms appends a JSON-lines metrics time series to\n"
@@ -152,20 +144,6 @@ void write_metrics_out(const Args& args, const std::string& command,
     scnn::obs::append_registry(session->metrics(), report);
   }
   report.write_file(path);
-}
-
-/// Honor --tune-file on eval/sweep/stats/serve: load and install the
-/// autotune file so every --backend=auto resolution (kernel and im2col
-/// tile) consumes it. Throws (load or CPU-signature mismatch) rather than
-/// silently running untuned — a requested tune file must actually apply.
-void install_tune_file(const Args& args) {
-  const std::string path = args.get("tune-file", "");
-  if (path.empty()) return;
-  scnn::nn::set_active_tune(scnn::nn::load_tune_file(path));
-  const scnn::nn::TuneFile* tune = scnn::nn::active_tune();
-  std::printf("tune: %s (backend=%s tile=%d threads=%d)\n", path.c_str(),
-              tune->best_backend.empty() ? "auto" : tune->best_backend.c_str(),
-              tune->best_tile, tune->best_threads);
 }
 
 bool is_digits(const std::string& task) { return task == "digits"; }
@@ -266,8 +244,7 @@ InferenceSession load_session(const std::string& task, const std::string& ckpt,
 
 int cmd_eval(const Args& args) {
   args.require_known({"task", "ckpt", "bits", "accum", "engine", "backend", "sparsity",
-                      "threads", "count", "metrics-out", "tune-file"});
-  install_tune_file(args);
+                      "threads", "count", "metrics-out"});
   const std::string task = parse_task(args, 0);
   const std::string ckpt = args.get("ckpt", args.positional(1, kDefaultCkpt));
   const EngineConfig cfg{
@@ -302,8 +279,7 @@ int cmd_eval(const Args& args) {
 
 int cmd_sweep(const Args& args) {
   args.require_known({"task", "ckpt", "nmin", "nmax", "backend", "sparsity",
-                      "threads", "metrics-out", "tune-file"});
-  install_tune_file(args);
+                      "threads", "metrics-out"});
   const std::string task = parse_task(args, 0);
   const std::string ckpt = args.get("ckpt", args.positional(1, kDefaultCkpt));
   const int n_min = args.get_int("nmin", std::stoi(args.positional(2, "5")));
@@ -339,9 +315,7 @@ int cmd_sweep(const Args& args) {
 /// per-layer SC cycles do not equal the engine's MacStats totals exactly.
 int cmd_stats(const Args& args) {
   args.require_known({"task", "ckpt", "bits", "accum", "engine", "backend", "sparsity",
-                      "threads", "count", "bit-parallel", "metrics-out", "trace-out",
-                      "tune-file"});
-  install_tune_file(args);
+                      "threads", "count", "bit-parallel", "metrics-out", "trace-out"});
   const std::string task = parse_task(args, 0);
   const std::string ckpt = args.get("ckpt", args.positional(1, kDefaultCkpt));
   const EngineConfig cfg{
@@ -520,8 +494,7 @@ int cmd_serve(const Args& args) {
                       "engine-config", "tenants", "requests", "concurrency", "max-batch",
                       "max-delay-us", "queue-cap", "priority", "workers",
                       "session-threads", "deadline-us", "count", "metrics-out",
-                      "tune-file", "trace-out", "dump-flight", "metrics-interval-ms"});
-  install_tune_file(args);
+                      "trace-out", "dump-flight", "metrics-interval-ms"});
   const std::string task = parse_task(args, 0);
   const std::string ckpt = args.get("ckpt", args.positional(1, kDefaultCkpt));
   const std::string cfg_json = args.get("engine-config", "");
@@ -842,96 +815,6 @@ int cmd_serve(const Args& args) {
   return 0;
 }
 
-/// Offline autotuner: measure forward-pass throughput over the
-/// (kernel x im2col-tile x threads) grid and write the winner to tune.json.
-/// Kernels are forced through the SCNN_BACKEND env — the exact channel a
-/// tune file steers later, so what tune measured is what kAuto will run.
-/// Pure scheduling axes only: every grid point computes bit-identical
-/// logits, so picking the fastest cannot change results.
-int cmd_tune(const Args& args) {
-  args.require_known({"task", "ckpt", "bits", "accum", "out", "count", "reps",
-                      "quick", "metrics-out"});
-  const std::string task = parse_task(args, 0);
-  const std::string ckpt = args.get("ckpt", args.positional(1, kDefaultCkpt));
-  const bool quick = args.has("quick");
-  const std::string out = args.get("out", "tune.json");
-  const int count = args.get_int("count", quick ? 16 : 64);
-  const int reps = args.get_int("reps", quick ? 1 : 3);
-  const int n_bits = args.get_int("bits", 8);
-  const int accum = args.get_int("accum", 2);
-
-  // The grid. Kernels: every mac_rows kernel runnable here (quick: scalar +
-  // the widest). Tiles: 0 = full row plus cache-sized blocks. Threads: 1
-  // plus all hardware threads where that differs.
-  std::vector<const scnn::nn::backends::Kernel*> kernels;
-  if (quick) {
-    kernels.push_back(&scnn::nn::backends::scalar_kernel());
-    if (const auto* best = scnn::nn::backends::best_simd_kernel())
-      kernels.push_back(best);
-  } else {
-    kernels = scnn::nn::backends::available_kernels();
-  }
-  std::vector<int> tiles = quick ? std::vector<int>{0, 16}
-                                 : std::vector<int>{0, 8, 16, 32, 64};
-  std::vector<int> threads{1};
-  if (const int hw = EngineConfig{.threads = 0}.resolved_threads(); hw > 1 && !quick)
-    threads.push_back(hw);
-
-  Dataset test;
-  InferenceSession session = load_session(task, ckpt, 1, test, count);
-
-  // Forcing goes through the env kAuto channel; remember and restore
-  // whatever the caller had exported.
-  const char* prev_env = std::getenv("SCNN_BACKEND");
-  const std::string saved = prev_env ? prev_env : "";
-
-  scnn::nn::TuneFile tune;
-  tune.cpu_signature = scnn::common::cpu_features_summary();
-  tune.git_sha = scnn::obs::git_sha();
-  double best = -1.0;
-  std::printf("%-8s %-6s %-8s %-12s\n", "kernel", "tile", "threads", "imgs/s");
-  for (const auto* k : kernels) {
-    if (setenv("SCNN_BACKEND", k->name, 1) != 0)
-      throw std::runtime_error("setenv(SCNN_BACKEND) failed");
-    for (const int tile : tiles) {
-      for (const int t : threads) {
-        session.set_engine({.kind = EngineKind::kProposed, .n_bits = n_bits,
-                            .accum_bits = accum, .threads = t,
-                            .backend = scnn::nn::MacBackend::kAuto,
-                            .im2col_tile = tile});
-        (void)session.forward(test.images);  // warm caches and the pool
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int r = 0; r < reps; ++r) (void)session.forward(test.images);
-        const double secs =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
-        const double imgs_per_s =
-            secs > 0 ? static_cast<double>(count) * reps / secs : 0.0;
-        tune.entries.push_back({k->name, tile, t, imgs_per_s});
-        std::printf("%-8s %-6d %-8d %-12.1f\n", k->name, tile, t, imgs_per_s);
-        if (imgs_per_s > best) {
-          best = imgs_per_s;
-          tune.best_backend = k->name;
-          tune.best_tile = tile;
-          tune.best_threads = t;
-        }
-      }
-    }
-  }
-  if (saved.empty())
-    unsetenv("SCNN_BACKEND");
-  else
-    setenv("SCNN_BACKEND", saved.c_str(), 1);
-
-  scnn::nn::save_tune_file(tune, out);
-  std::printf("winner: backend=%s tile=%d threads=%d (%.1f imgs/s)\n",
-              tune.best_backend.c_str(), tune.best_tile, tune.best_threads, best);
-  std::printf("tune written to %s — install with --tune-file=%s or "
-              "SCNN_TUNE_FILE=%s\n", out.c_str(), out.c_str(), out.c_str());
-  write_metrics_out(args, "tune", &session);
-  return 0;
-}
-
 int cmd_info() {
   std::printf("scnn — BISC-MVM stochastic-computing CNN library (DAC'17 reproduction)\n");
   std::printf("engines: fixed, sc-lfsr, proposed; precisions N = %d..%d, A >= 0\n",
@@ -944,9 +827,9 @@ int cmd_info() {
   for (const auto* k : scnn::nn::backends::available_kernels())
     kernels += std::string(kernels.empty() ? "" : ", ") + k->name + " (" +
                std::to_string(k->lanes) + " lanes)";
-  std::printf("mac_rows kernels: %s; auto resolves to %s "
-              "(--backend or SCNN_BACKEND overrides)\n", kernels.c_str(),
-              scnn::nn::resolved_backend(scnn::nn::MacBackend::kAuto).backend.c_str());
+  std::printf("mac_rows kernels: %s; the default proposed/N=8 engine resolves "
+              "to %s (--backend or SCNN_BACKEND overrides)\n", kernels.c_str(),
+              scnn::nn::resolved_backend(EngineConfig{}).backend.c_str());
   // The full inventory, including what this build knows about but cannot
   // run here — detected-but-uncompiled and compiled-but-unsupported ISA
   // levels are the difference between "slow by design" and "slow by build".
@@ -958,17 +841,6 @@ int cmd_info() {
                                     : "not available for this CPU/arch";
     std::printf("  %-14s unavailable: %s\n", s.name, why);
   }
-  std::printf("popcount datapath (--backend=popcount, proposed engine only): %s\n",
-              scnn::nn::popcount_backend_lanes() > 1
-                  ? "vpopcntdq SIMD, 8 lanes"
-                  : "scalar __builtin_popcountll");
-  if (const scnn::nn::TuneFile* tune = scnn::nn::active_tune())
-    std::printf("tune file installed: backend=%s tile=%d threads=%d\n",
-                tune->best_backend.empty() ? "auto" : tune->best_backend.c_str(),
-                tune->best_tile, tune->best_threads);
-  else
-    std::printf("no tune file installed — run `scnn_cli tune` and export "
-                "SCNN_TUNE_FILE=tune.json to steer auto dispatch\n");
   std::printf("sparsity modes: dense, zero-skip, auto — zero-skip drops k=0 weight\n"
               "  codes from the schedule, bit-identical to dense (--sparsity or\n"
               "  SCNN_SPARSITY overrides auto; needs a zero-annihilating table)\n");
@@ -992,7 +864,6 @@ int main(int argc, char** argv) {
     if (cmd == "sweep") return cmd_sweep(args);
     if (cmd == "stats") return cmd_stats(args);
     if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "tune") return cmd_tune(args);
     std::fprintf(stderr, "error: unknown command '%s'\n\n", cmd.c_str());
     return usage();
   } catch (const scnn::cli::ArgError& e) {

@@ -146,6 +146,74 @@ const bitplane::Coefficients& Conv2D::bitplane_coefficients_(int n_bits) const {
   return bitplane_cache_;
 }
 
+std::vector<const std::uint8_t*> Conv2D::build_plane_images_(const Tensor& x,
+                                                             int n_bits) {
+  const int H = x.h(), W = x.w();
+  if (!plane_layout_.matches(in_ch_, H, W, k_, s_, p_))
+    plane_layout_.assign(in_ch_, H, W, k_, s_, p_);
+  const bitplane::ImageLayout& layout = plane_layout_;
+  const std::size_t images = static_cast<std::size_t>(x.n());
+  const std::size_t plane = static_cast<std::size_t>(H) * W;
+  plane_image_.resize(images * layout.image_bytes);
+  // One item = one (image, channel): pad groups everywhere, then each
+  // pixel's code quantized straight into its group.
+  const std::int64_t items = static_cast<std::int64_t>(images) * in_ch_;
+  std::vector<std::uint8_t> negative(static_cast<std::size_t>(items), 0);
+  const std::uint64_t pad_group = bitplane::plane_group(0, n_bits);
+  common::parallel_for(pool_, items, [&](std::int64_t lo, std::int64_t hi, int) {
+    for (std::int64_t item = lo; item < hi; ++item) {
+      const std::size_t n = static_cast<std::size_t>(item / in_ch_);
+      const int z = static_cast<int>(item % in_ch_);
+      std::uint8_t* image = plane_image_.data() + n * layout.image_bytes;
+      std::uint8_t* channel = image + static_cast<std::size_t>(z) * layout.channel_bytes;
+      for (std::size_t o = 0; o < layout.channel_bytes; o += 8)
+        std::memcpy(channel + o, &pad_group, 8);
+      const float* src = x.data().data() +
+                         (n * static_cast<std::size_t>(in_ch_) + static_cast<std::size_t>(z)) * plane;
+      bool neg = false;
+      for (int y = 0; y < H; ++y)
+        for (int c = 0; c < W; ++c) {
+          const std::int32_t q =
+              common::quantize(src[static_cast<std::size_t>(y) * W + c] / act_scale_, n_bits);
+          neg = neg || q < 0;
+          const std::uint64_t group = bitplane::plane_group(q, n_bits);
+          std::memcpy(image + layout.pixel(z, y, c), &group, 8);
+        }
+      negative[static_cast<std::size_t>(item)] = neg ? 1 : 0;
+    }
+  });
+  // Images holding a negative code get a folded image; the rest read their
+  // plane image for the magnitude dots too.
+  std::vector<std::size_t> slot(images, images);
+  std::size_t folded = 0;
+  for (std::size_t n = 0; n < images; ++n)
+    for (int z = 0; z < in_ch_ && slot[n] == images; ++z)
+      if (negative[n * static_cast<std::size_t>(in_ch_) + static_cast<std::size_t>(z)])
+        slot[n] = folded++;
+  folded_image_.resize(folded * layout.image_bytes);
+  common::parallel_for(pool_, items, [&](std::int64_t lo, std::int64_t hi, int) {
+    for (std::int64_t item = lo; item < hi; ++item) {
+      const std::size_t n = static_cast<std::size_t>(item / in_ch_);
+      if (slot[n] == images) continue;
+      const std::size_t ch =
+          static_cast<std::size_t>(item % in_ch_) * layout.channel_bytes;
+      const std::uint8_t* src = plane_image_.data() + n * layout.image_bytes + ch;
+      std::uint8_t* dst = folded_image_.data() + slot[n] * layout.image_bytes + ch;
+      for (std::size_t o = 0; o < layout.channel_bytes; o += 8) {
+        std::uint64_t group;
+        std::memcpy(&group, src + o, 8);
+        group = bitplane::folded_group(group, n_bits);
+        std::memcpy(dst + o, &group, 8);
+      }
+    }
+  });
+  std::vector<const std::uint8_t*> f(images);
+  for (std::size_t n = 0; n < images; ++n)
+    f[n] = slot[n] == images ? plane_image_.data() + n * layout.image_bytes
+                             : folded_image_.data() + slot[n] * layout.image_bytes;
+  return f;
+}
+
 Tensor Conv2D::forward_quantized_im2col(const Tensor& x) {
   const int nbits = engine_->bits();
   const auto d = dims_for(x);
@@ -155,7 +223,15 @@ Tensor Conv2D::forward_quantized_im2col(const Tensor& x) {
 
   const std::span<const std::int32_t> wq = cached_weight_codes_(nbits);
   const std::size_t plane = static_cast<std::size_t>(in_ch_) * H * W;
-  const std::vector<std::int32_t> xq = quantize_input_(x, nbits);
+  // Engines with the bit-plane stage read patches in place from plane
+  // images; the rest get int32 im2col patches.
+  const bool planes = engine_->bitplane_stage();
+  std::vector<std::int32_t> xq;
+  std::vector<const std::uint8_t*> folded;
+  if (planes)
+    folded = build_plane_images_(x, nbits);
+  else
+    xq = quantize_input_(x, nbits);
 
   const float out_scale = weight_scale_ * act_scale_ /
                           static_cast<float>(std::int64_t{1} << (nbits - 1));
@@ -166,16 +242,16 @@ Tensor Conv2D::forward_quantized_im2col(const Tensor& x) {
   // fallback inside each view, so this cannot change results — only skip
   // work (see LutEngine::mac_rows).
   const PackedRowCodes* packed = engine_->zero_skip() ? &packed_weight_codes(nbits) : nullptr;
-  const WeightRows weight_rows{
-      .dense = wq,
-      .rows = out_ch_,
-      .d = dd,
-      .packed = packed,
-      .planes = engine_->bitplane_stage() ? &bitplane_coefficients_(nbits) : nullptr};
+  const WeightRows weight_rows{.dense = wq,
+                               .rows = out_ch_,
+                               .d = dd,
+                               .packed = packed,
+                               .planes = planes ? &bitplane_coefficients_(nbits) : nullptr};
 
-  // One item = one spatial output row (n, r): its C patches are materialized
-  // once into a contiguous [c][z][i][j] code buffer and reused by all out_ch_
-  // filter rows through the batched mac_rows kernel — the gather (and its
+  // One item = one spatial output row (n, r), whose C patches all out_ch_
+  // filter rows share: one mac_block call over the plane image, or C int32
+  // patches materialized once into a contiguous [c][z][i][j] buffer and
+  // driven through mac_rows per filter row — either way the gather (and its
   // padding handling) is paid once instead of out_ch_ times. Items write
   // disjoint output rows; per-shard MacStats are merged in shard order, so
   // logits and counters are independent of the worker count.
@@ -197,7 +273,7 @@ Tensor Conv2D::forward_quantized_im2col(const Tensor& x) {
     const auto frame = arena.frame();
     (void)frame;
     const std::span<std::int32_t> patches =
-        arena.take<std::int32_t>(static_cast<std::size_t>(C) * dd);
+        arena.take<std::int32_t>(planes ? 0 : static_cast<std::size_t>(C) * dd);
     const std::span<std::int64_t> accs = arena.take<std::int64_t>(
         static_cast<std::size_t>(out_ch_) * static_cast<std::size_t>(C));
     MacStats local;
@@ -205,31 +281,45 @@ Tensor Conv2D::forward_quantized_im2col(const Tensor& x) {
     for (std::int64_t row = lo; row < hi; ++row) {
       const int n = static_cast<int>(row / R);
       const int r = static_cast<int>(row % R);
-      const std::int32_t* xs = &xq[static_cast<std::size_t>(n) * plane];
-      const int i_lo = std::max(0, p_ - s_ * r);
-      const int i_hi = std::min(k_, H - s_ * r + p_);
-      // Build the row's patches. With padding, start from materialized zero
-      // codes (quantize(0) == 0) and copy only the in-range segments — the
-      // inner kernel then needs no bounds checks at all.
-      if (p_ > 0) std::memset(patches.data(), 0, patches.size_bytes());
-      for (int c = 0; c < C; ++c) {
-        std::int32_t* patch = &patches[static_cast<std::size_t>(c) * dd];
-        const int j_lo = std::max(0, p_ - s_ * c);
-        const int j_hi = std::min(k_, W - s_ * c + p_);
-        for (int z = 0; z < in_ch_; ++z) {
-          for (int i = i_lo; i < i_hi; ++i) {
-            const int yy = s_ * r + i - p_;
-            const std::int32_t* src =
-                &xs[(static_cast<std::size_t>(z) * H + yy) * W + (s_ * c + j_lo - p_)];
-            std::int32_t* dst = &patch[(static_cast<std::size_t>(z) * k_ + i) * k_ + j_lo];
-            // Kernel rows are a handful of codes: an inline copy beats a
-            // memcpy call per segment.
-            for (int j = 0; j < j_hi - j_lo; ++j) dst[j] = src[j];
+      if (planes) {
+        const std::size_t image = static_cast<std::size_t>(n) * plane_layout_.image_bytes;
+        const std::size_t origin = plane_layout_.row_origin(r);
+        engine_->mac_block(weight_rows,
+                           {.u = plane_image_.data() + image + origin,
+                            .f = folded[static_cast<std::size_t>(n)] + origin,
+                            .offsets = plane_layout_.offsets,
+                            .tile = static_cast<std::size_t>(C)},
+                           accs, local);
+      } else {
+        const std::int32_t* xs = &xq[static_cast<std::size_t>(n) * plane];
+        const int i_lo = std::max(0, p_ - s_ * r);
+        const int i_hi = std::min(k_, H - s_ * r + p_);
+        // Build the row's patches. With padding, start from materialized
+        // zero codes (quantize(0) == 0) and copy only the in-range segments
+        // — the inner kernel then needs no bounds checks at all.
+        if (p_ > 0) std::memset(patches.data(), 0, patches.size_bytes());
+        for (int c = 0; c < C; ++c) {
+          std::int32_t* patch = &patches[static_cast<std::size_t>(c) * dd];
+          const int j_lo = std::max(0, p_ - s_ * c);
+          const int j_hi = std::min(k_, W - s_ * c + p_);
+          for (int z = 0; z < in_ch_; ++z) {
+            for (int i = i_lo; i < i_hi; ++i) {
+              const int yy = s_ * r + i - p_;
+              const std::int32_t* src =
+                  &xs[(static_cast<std::size_t>(z) * H + yy) * W + (s_ * c + j_lo - p_)];
+              std::int32_t* dst = &patch[(static_cast<std::size_t>(z) * k_ + i) * k_ + j_lo];
+              // Kernel rows are a handful of codes: an inline copy beats a
+              // memcpy call per segment.
+              for (int j = 0; j < j_hi - j_lo; ++j) dst[j] = src[j];
+            }
           }
         }
+        for (int m = 0; m < out_ch_; ++m)
+          engine_->mac_rows(weight_rows.row(m), patches,
+                            accs.subspan(static_cast<std::size_t>(m) * C,
+                                         static_cast<std::size_t>(C)),
+                            local);
       }
-      // Every filter row MACs the row's C patches in one call.
-      engine_->mac_block(weight_rows, patches, accs, local);
       for (int m = 0; m < out_ch_; ++m) {
         const float bias = bias_.value.at(m, 0, 0, 0);
         const std::int64_t* arow = accs.data() + static_cast<std::size_t>(m) * C;

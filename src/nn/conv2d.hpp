@@ -14,12 +14,15 @@
 // The quantized forward has two implementations with bit-identical logits
 // and MacStats:
 //  - im2col (default): weight codes are cached per (n_bits, weight version,
-//    weight scale); each output row's input patches are materialized once
-//    into a contiguous patch-code buffer (padding as literal zero codes,
-//    scratch from a per-thread common::ScratchArena) and all filter rows are
-//    driven through one MacEngine::mac_block call per patch block, so the
-//    patch gather (and the bit-plane stage's plane expansion) is amortized
-//    over all output channels.
+//    weight scale), and each spatial output row's patches are shared by all
+//    filter rows. Engines with the bit-plane stage get the batch quantized
+//    once, straight into padded plane images (8 bytes per pixel, see
+//    nn/mac_backends/bitplane.hpp), and one MacEngine::mac_block call per
+//    output row reads the row's patches in place through a per-geometry
+//    offset table. Other engines get each output row's patches materialized
+//    once into a contiguous int32 patch-code buffer (padding as literal zero
+//    codes, scratch from a per-thread common::ScratchArena) and one
+//    MacEngine::mac_rows call per filter row.
 //  - direct: the pre-im2col reference — re-quantizes weights every pass and
 //    gathers each output element's patch with per-element padding checks.
 //    Kept as the comparison baseline for benches and the equivalence test.
@@ -125,6 +128,11 @@ class Conv2D final : public Layer {
   /// Quantize the whole input batch to activation codes (parallel over
   /// samples; elementwise, so sharding cannot change the values).
   std::vector<std::int32_t> quantize_input_(const Tensor& x, int n_bits) const;
+  /// Quantize the batch straight into plane images (plane_image_, laid out
+  /// by plane_layout_) and fold the images that hold a negative code into
+  /// folded_image_. Returns each image's folded image, or its plane image
+  /// when it holds no negative code.
+  std::vector<const std::uint8_t*> build_plane_images_(const Tensor& x, int n_bits);
 
   /// The weight-code cache. Not thread-safe: called from the forward entry
   /// thread before any sharding starts (and from benches/tests).
@@ -160,6 +168,12 @@ class Conv2D final : public Layer {
   mutable bool packed_cache_valid_ = false;
   mutable bitplane::Coefficients bitplane_cache_;
   mutable bool bitplane_cache_valid_ = false;
+
+  // The bit-plane stage's activation side: the patch-offset table of the
+  // last input geometry, and plane/folded images reused across forwards.
+  bitplane::ImageLayout plane_layout_;
+  std::vector<std::uint8_t> plane_image_;
+  std::vector<std::uint8_t> folded_image_;
 };
 
 }  // namespace scnn::nn

@@ -21,8 +21,7 @@
 // folded into vector inserts, which issue on the load ports alongside the
 // gathers instead of competing with them. Consequence worth knowing: the
 // per-lane gather rate bounds this kernel to roughly AVX2 parity on
-// gather-bound hosts; the offline autotuner (scnn_cli tune) exists to
-// measure exactly this and steer kAuto to whichever kernel actually wins.
+// gather-bound hosts.
 //
 // Tails (tile % lanes != 0) do not fall back to the scalar kernel: the
 // patch codes are fetched with a masked strided gather and the LUT lookup

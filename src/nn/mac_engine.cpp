@@ -2,8 +2,10 @@
 
 #include <cassert>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "common/fixed_point.hpp"
 #include "core/scmac.hpp"
@@ -55,6 +57,15 @@ MacEngine::Description describe_kernels(const backends::Kernel& kernel,
 }
 
 }  // namespace
+
+void MacEngine::mac_block(const WeightRows& w, const bitplane::PlaneRow& x,
+                          std::span<std::int64_t> out, MacStats& stats) const {
+  std::vector<std::int32_t> patches(x.tile * w.d);
+  bitplane::gather(x, n_, 0, x.tile, patches);
+  for (int m = 0; m < w.rows; ++m)
+    mac_rows(w.row(m), patches, out.subspan(static_cast<std::size_t>(m) * x.tile, x.tile),
+             stats);
+}
 
 std::string to_string(EngineKind kind) {
   switch (kind) {
@@ -352,40 +363,42 @@ void LutEngine::mac_rows(const WeightCodeView& w,
   if (stats.detail && tile > 0) account_enable_cycles(w.dense(), tile, stats.k_hist);
 }
 
-void LutEngine::mac_block(const WeightRows& w, std::span<const std::int32_t> patches,
+void LutEngine::mac_block(const WeightRows& w, const bitplane::PlaneRow& x,
                           std::span<std::int64_t> out, MacStats& stats) const {
   const bitplane::Coefficients* coef = w.planes;
   if (!bitplane_ || !coef || coef->n_bits != n_ || coef->rows != w.rows ||
       coef->d != w.d) {
-    MacEngine::mac_block(w, patches, out, stats);
+    MacEngine::mac_block(w, x, out, stats);
     return;
   }
   const std::size_t rows = static_cast<std::size_t>(w.rows);
-  const std::size_t tile = rows > 0 ? out.size() / rows : 0;
+  const std::size_t tile = x.tile;
   const int bits = n_ + a_;
-  const std::span<const std::uint8_t> certified =
-      bitplane::run(*bitplane_, *coef, patches, tile, common::int_min_of(bits),
-                    common::int_max_of(bits), out);
+  const std::span<const std::uint8_t> certified = bitplane::run(
+      *bitplane_, *coef, x, common::int_min_of(bits), common::int_max_of(bits), out);
   // Certified outputs are final: every prefix stayed inside the rails, so
   // they carry no clamp events and no skipped products (the stage issues no
-  // columns at all). Runs of uncertified outputs take the LUT kernel, which
-  // books their own macs/products/saturations/skips; the certified share of
-  // the arithmetic counters is booked here, so totals match mac_rows.
+  // columns at all). Runs of uncertified outputs gather their own patch
+  // codes and take the LUT kernel, which books their macs/products/
+  // saturations/skips; the certified share of the arithmetic counters is
+  // booked here, so totals match mac_rows.
+  thread_local std::vector<std::int32_t> patches;
   for (std::size_t m = 0; m < rows; ++m) {
     const WeightCodeView row = w.row(static_cast<int>(m));
     const std::uint8_t* flags = certified.data() + m * tile;
     std::size_t done = 0;
     for (std::size_t t = 0; t < tile;) {
-      if (flags[t]) {
-        ++t;
-        ++done;
-        continue;
-      }
-      std::size_t t1 = t + 1;
+      const void* hole = std::memchr(flags + t, 0, tile - t);
+      const std::size_t t0 =
+          hole ? static_cast<std::size_t>(static_cast<const std::uint8_t*>(hole) - flags) : tile;
+      done += t0 - t;
+      if (t0 == tile) break;
+      std::size_t t1 = t0 + 1;
       while (t1 < tile && !flags[t1]) ++t1;
-      mac_rows(row, patches.subspan(t * w.d, (t1 - t) * w.d),
-               out.subspan(m * tile + t, t1 - t), stats);
-      stats.uncertified += t1 - t;
+      patches.resize((t1 - t0) * w.d);
+      bitplane::gather(x, n_, t0, t1, patches);
+      mac_rows(row, patches, out.subspan(m * tile + t0, t1 - t0), stats);
+      stats.uncertified += t1 - t0;
       t = t1;
     }
     stats.macs += done;

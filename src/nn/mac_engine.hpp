@@ -260,18 +260,15 @@ class MacEngine {
       out[t] = mac(w.dense(), patches.subspan(t * d, d), stats);
   }
 
-  /// Block MAC: every filter row of `w` against the same out.size() / w.rows
-  /// patches (layout [tile][d]); out[m * tile + t] receives exactly what
-  /// mac_rows(w.row(m), patches, ...) would write to its out[t], with the
-  /// same MacStats arithmetic. This is the im2col convolution's entry point,
-  /// one call per patch block; the default loops mac_rows over the rows.
-  virtual void mac_block(const WeightRows& w, std::span<const std::int32_t> patches,
-                         std::span<std::int64_t> out, MacStats& stats) const {
-    const std::size_t tile = w.rows > 0 ? out.size() / static_cast<std::size_t>(w.rows) : 0;
-    for (int m = 0; m < w.rows; ++m)
-      mac_rows(w.row(m), patches,
-               out.subspan(static_cast<std::size_t>(m) * tile, tile), stats);
-  }
+  /// Block MAC over a plane image: every filter row of `w` against the
+  /// x.tile patches `x` reads in place (nn/mac_backends/bitplane.hpp);
+  /// out[m * tile + t] receives exactly what mac_rows(w.row(m), patches, ...)
+  /// would write to its out[t] for the decoded patch codes, with the same
+  /// MacStats arithmetic. The im2col convolution's entry point for engines
+  /// with bitplane_stage(), one call per output row; the default decodes the
+  /// patches and loops mac_rows over the rows.
+  virtual void mac_block(const WeightRows& w, const bitplane::PlaneRow& x,
+                         std::span<std::int64_t> out, MacStats& stats) const;
 
   [[nodiscard]] virtual std::string name() const = 0;
   /// Base engines run mac_rows as a serial mac() loop.
@@ -283,7 +280,8 @@ class MacEngine {
   /// cache is worth anything.
   [[nodiscard]] virtual bool zero_skip() const { return false; }
   /// True when mac_block runs the certified bit-plane stage given
-  /// WeightRows::planes — layers build the coefficient cache only then.
+  /// WeightRows::planes — layers build the coefficient cache and the plane
+  /// image only then, and otherwise feed mac_rows int32 patches.
   [[nodiscard]] virtual bool bitplane_stage() const { return false; }
   [[nodiscard]] int bits() const { return n_; }
   [[nodiscard]] int accum_bits() const { return a_; }
@@ -322,12 +320,12 @@ class LutEngine final : public MacEngine {
                 std::span<std::int64_t> out, MacStats& stats) const override;
   /// Block form. For the proposed table at N <= 8 with narrow accumulators,
   /// and any kernel choice but the scalar reference, a certified bit-plane
-  /// stage (nn/mac_backends/bitplane.hpp) runs over WeightRows::planes in
-  /// front of the kernel: outputs it certifies come from integer dot
-  /// products, the rest take mac_rows' kernel unchanged, in increasing-j
-  /// order — values and MacStats arithmetic stay identical. Without the
-  /// stage or the coefficients it loops mac_rows.
-  void mac_block(const WeightRows& w, std::span<const std::int32_t> patches,
+  /// stage (nn/mac_backends/bitplane.hpp) runs over WeightRows::planes:
+  /// outputs it certifies come from integer dot products, the rest gather
+  /// their own patch codes and take mac_rows' kernel unchanged, in
+  /// increasing-j order — values and MacStats arithmetic stay identical.
+  /// Without the stage or the coefficients it is the default.
+  void mac_block(const WeightRows& w, const bitplane::PlaneRow& x,
                  std::span<std::int64_t> out, MacStats& stats) const override;
   [[nodiscard]] std::string name() const override { return lut_.name(); }
   [[nodiscard]] Description describe() const override;

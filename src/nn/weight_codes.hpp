@@ -138,8 +138,9 @@ class WeightCodeView {
 };
 
 /// Every filter row of one layer generation, as handed to
-/// MacEngine::mac_block: the dense codes plus whichever prepared forms the
-/// engine asked for. Borrows — everything must outlive the call.
+/// MacEngine::mac_block (or row by row to mac_rows): the dense codes plus
+/// whichever prepared forms the engine asked for. Borrows — everything must
+/// outlive the call.
 struct WeightRows {
   std::span<const std::int32_t> dense;  ///< [rows][d] codes
   int rows = 0;

@@ -1,12 +1,15 @@
 // The certified bit-plane stage of the proposed engine (Sec. 2.3 closed
 // form; nn/mac_backends/bitplane.hpp): the identities it rests on, checked
-// exhaustively, the stage against the scalar LUT reference on raw blocks,
-// and whole networks driven into saturation, where the stage must hand
-// exactly the outputs near the rails back to the LUT kernel. Lives in the
-// `parallel`-labeled binary so the sanitizer legs cover the SIMD kernels
-// under the threaded runtime.
+// exhaustively, the plane-group encoding, the stage against the scalar LUT
+// reference on raw blocks, Conv2D's plane images over a sweep of
+// geometries, and whole networks driven into saturation, where the stage
+// must hand exactly the outputs near the rails back to the LUT kernel.
+// Lives in the `parallel`-labeled binary so the sanitizer legs cover the
+// SIMD kernels and the sharded plane-image build under the threaded
+// runtime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -24,6 +27,7 @@
 #include "nn/mac_backends/mac_backends.hpp"
 #include "nn/mac_engine.hpp"
 #include "nn/network.hpp"
+#include "plane_block.hpp"
 
 namespace scnn {
 namespace {
@@ -81,6 +85,30 @@ TEST(BitplaneIdentities, ExhaustiveForEveryPrecision) {
   }
 }
 
+// The activation side's encoding: byte b of a code's plane group is bit b
+// of its offset image, the folded group is the offset image of the
+// one's-complement fold, and decoding recovers the code — for every code.
+TEST(BitplaneLayout, PlaneGroupsRoundTripEveryCode) {
+  for (int n = 2; n <= bitplane::kMaxBits; ++n) {
+    const std::int32_t half = std::int32_t{1} << (n - 1);
+    std::uint64_t failures = 0;
+    for (std::int32_t q = -half; q < half; ++q) {
+      const std::uint64_t g = bitplane::plane_group(q, n);
+      const auto u = static_cast<std::uint32_t>(q + half);
+      const auto u_f = static_cast<std::uint32_t>((q >= 0 ? q : ~q) + half);
+      const std::uint64_t f = bitplane::folded_group(g, n);
+      for (int b = 0; b < 8; ++b) {
+        if (((g >> (8 * b)) & 0xff) != ((u >> b) & 1u)) ++failures;
+        if (((f >> (8 * b)) & 0xff) != ((u_f >> b) & 1u)) ++failures;
+      }
+      if (bitplane::plane_code(g, n) != q) ++failures;
+    }
+    EXPECT_EQ(failures, 0u) << "N=" << n;
+    // Padding is code 0: only plane N-1 is set, so p(qw, 0) = +-1 for odd k.
+    EXPECT_EQ(bitplane::plane_group(0, n), std::uint64_t{1} << (8 * (n - 1))) << "N=" << n;
+  }
+}
+
 // Every (qw, qx) pair through the stage's own layout and kernel: one-code
 // rows against one-code patches are single products, all certified at A = 2.
 TEST(BitplaneStage, SingleProductsMatchTheTableExhaustively) {
@@ -94,8 +122,8 @@ TEST(BitplaneStage, SingleProductsMatchTheTableExhaustively) {
     bitplane::Coefficients coef;
     coef.assign(codes, static_cast<int>(codes.size()), 1, n);
     std::vector<std::int64_t> out(codes.size() * codes.size(), -1);
-    const auto flags = bitplane::run(*kernel, coef, codes, codes.size(),
-                                     common::int_min_of(n + 2),
+    const PlaneBlock block(codes, 1, codes.size(), n);
+    const auto flags = bitplane::run(*kernel, coef, block.row(), common::int_min_of(n + 2),
                                      common::int_max_of(n + 2), out);
     std::uint64_t failures = 0;
     for (std::size_t m = 0; m < codes.size(); ++m)
@@ -122,10 +150,10 @@ std::vector<std::int32_t> random_codes(std::size_t count, int n_bits, bool signe
 
 // Raw blocks: every certified output equals the scalar LUT reference and has
 // no clamp event there; the engine's block call, fallback included, equals
-// the scalar engine's per-row loop in values and MacStats. Rows and tiles
-// straddle the 2 x 3 / 2 x 2 register tiles, d straddles the 4-code
-// expansion groups (d = 0 included), and both signed and all-non-negative
-// patch blocks occur.
+// the scalar engine's mac_rows per filter row in values and MacStats. Rows
+// straddle the 2-row register tiles, tiles straddle the groups of four
+// outputs and the 2-group register tiles, d = 0 is included, and
+// both signed (folded) and all-non-negative patch blocks occur.
 TEST(BitplaneStage, BlocksMatchScalarReferenceIncludingFallback) {
   const bitplane::Kernel* kernel = bitplane::avx2_kernel();
   if (!kernel) GTEST_SKIP() << "no bit-plane kernel on this machine";
@@ -148,7 +176,7 @@ TEST(BitplaneStage, BlocksMatchScalarReferenceIncludingFallback) {
       ASSERT_FALSE(ref_engine->bitplane_stage());
       for (const std::size_t d : {0, 1, 5, 27, 75}) {
         for (const int rows : {1, 2, 3, 5}) {
-          for (const std::size_t tile : {0, 1, 2, 3, 4, 5, 7, 8, 16, 17}) {
+          for (const std::size_t tile : {0, 1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 24}) {
             for (const bool signed_patches : {false, true}) {
               const std::uint64_t seed = 7919 * d + 131 * tile +
                                          static_cast<std::uint64_t>(rows * 17 + bits) +
@@ -164,8 +192,13 @@ TEST(BitplaneStage, BlocksMatchScalarReferenceIncludingFallback) {
 
               bitplane::Coefficients coef;
               coef.assign(w, rows, d, n_bits);
+              const PlaneBlock block(patches, d, tile, n_bits);
+              EXPECT_EQ(block.folded(),
+                        std::any_of(patches.begin(), patches.end(),
+                                    [](std::int32_t q) { return q < 0; }))
+                  << label;
               std::vector<std::int64_t> out(static_cast<std::size_t>(rows) * tile, -7);
-              const auto flags = bitplane::run(*kernel, coef, patches, tile, lo, hi, out);
+              const auto flags = bitplane::run(*kernel, coef, block.row(), lo, hi, out);
               std::uint64_t block_cert = 0;
               for (int m = 0; m < rows; ++m) {
                 const std::span<const std::int32_t> row =
@@ -190,15 +223,19 @@ TEST(BitplaneStage, BlocksMatchScalarReferenceIncludingFallback) {
               if (block_cert > 0 && block_cert < outputs) ++mixed_blocks;
 
               // Engine level: the block call with the stage against the
-              // scalar engine's default per-row loop.
+              // scalar engine's mac_rows per filter row.
               const nn::WeightRows wr{.dense = w, .rows = rows, .d = d};
               nn::WeightRows staged = wr;
               staged.planes = &coef;
               std::vector<std::int64_t> ref_out(out.size(), -1), got(out.size(), -2);
               MacStats ref_stats, got_stats;
               ref_stats.detail = got_stats.detail = true;
-              ref_engine->mac_block(wr, patches, ref_out, ref_stats);
-              engine->mac_block(staged, patches, got, got_stats);
+              for (int m = 0; m < rows; ++m)
+                ref_engine->mac_rows(wr.row(m), patches,
+                                     std::span<std::int64_t>(ref_out).subspan(
+                                         static_cast<std::size_t>(m) * tile, tile),
+                                     ref_stats);
+              engine->mac_block(staged, block.row(), got, got_stats);
               EXPECT_EQ(got, ref_out) << label;
               EXPECT_EQ(got_stats, ref_stats) << label;
               EXPECT_EQ(got_stats.uncertified, outputs - block_cert) << label;
@@ -219,9 +256,8 @@ TEST(BitplaneStage, BlocksMatchScalarReferenceIncludingFallback) {
 // run clamps. kSimd (the stage in front of the widest SIMD kernel) must
 // still reproduce the LUT-only references byte for byte — logits and the
 // MacStats arithmetic — and report the outputs it handed back. MNIST conv1
-// sees all-non-negative blocks (images in [0, 1]); conv2 has no ReLU in
-// front of it, so its blocks are signed, and its 8-wide output rows leave a
-// 2-patch tail after the 3-patch register tiles.
+// sees all-non-negative plane images (images in [0, 1]); conv2 has no ReLU
+// in front of it, so its images hold negative codes and get folded images.
 TEST(BitplaneStage, AdversarialConvMatchesLutReferences) {
   if (!bitplane::avx2_kernel() || !nn::backends::best_simd_kernel())
     GTEST_SKIP() << "no bit-plane kernel on this machine";
@@ -263,9 +299,9 @@ TEST(BitplaneStage, AdversarialConvMatchesLutReferences) {
 }
 
 // Conv2D hands the stage one block per output row, so the row width sets
-// the patch tail: widths 5, 7 and 13 leave 2-, 1- and 1-patch tails after
-// the 3-patch register tiles, and odd filter counts leave a 1-row tail after
-// the 2-row tiles. Signed inputs and weights scaled past calibration put
+// the tail: widths 5, 7 and 13 end in a group of four holding 1, 3 and 1
+// real outputs (the rest read the plane image's slack), and odd filter
+// counts leave a 1-row tail after the 2-row tiles. Signed inputs and weights scaled past calibration put
 // some outputs at the rails, so certified outputs and LUT fallbacks share
 // every row; the layer must still match the LUT-only reference byte for
 // byte, serial and sharded.
@@ -316,6 +352,152 @@ TEST(BitplaneStage, RaggedConvRowsMatchLutReference) {
       }
     }
   }
+}
+
+// One Conv2D layer read through its plane images. The input is random in
+// [-1, 1] (negative codes, so folded images) or [0, 1]; `gain` scales the
+// weights past calibration to push outputs onto the rails; odd_weights sets
+// every weight code odd (N = 8), so each padded tap contributes +-1.
+struct ConvCase {
+  int in_ch, out_ch, kernel, stride, pad, height, width, n_bits, accum_bits;
+  bool signed_input;
+  float gain;
+  bool odd_weights = false;
+  bool max_codes = false;  ///< every weight and input code at full scale
+
+  [[nodiscard]] std::string label() const {
+    return "Z=" + std::to_string(in_ch) + " M=" + std::to_string(out_ch) +
+           " K=" + std::to_string(kernel) + " S=" + std::to_string(stride) +
+           " P=" + std::to_string(pad) + " H=" + std::to_string(height) +
+           " W=" + std::to_string(width) + " N=" + std::to_string(n_bits) +
+           " A=" + std::to_string(accum_bits) + (signed_input ? " signed" : "") +
+           (gain != 1.0f ? " gain" : "") + (odd_weights ? " odd" : "") +
+           (max_codes ? " max" : "");
+  }
+};
+
+struct SweepTally {
+  std::uint64_t certified = 0, uncertified = 0, cases = 0;
+};
+
+// The layer through the stage (kSimd) against the LUT-only reference
+// (backend = scalar, dense): logits byte for byte, MacStats arithmetic
+// equal. With a pool, the sharded forward must also equal the serial one,
+// uncertified count included.
+void check_conv_case(const ConvCase& k, common::ThreadPool* pool, SweepTally& tally) {
+  const std::string ctx = k.label();
+  nn::Conv2D conv(k.in_ch, k.out_ch, k.kernel, k.stride, k.pad);
+  conv.init_weights(static_cast<std::uint64_t>(k.in_ch * 131 + k.kernel * 17 + k.width));
+  nn::Tensor x(2, k.in_ch, k.height, k.width);
+  common::SplitMix64 rng(static_cast<std::uint64_t>(k.stride * 1009 + k.pad * 101 + k.width));
+  for (float& v : x.data())
+    v = k.max_codes ? 1.0f
+                    : static_cast<float>(rng.next_in(k.signed_input ? -1.0 : 0.0, 1.0));
+  if (k.odd_weights) {
+    std::size_t i = 0;
+    for (float& v : conv.mutable_weight().data())
+      v = static_cast<float>(2 * static_cast<int>(i++ % 16) - 15) / 128.0f;
+  }
+  if (k.max_codes)
+    for (float& v : conv.mutable_weight().data()) v = 1.0f;
+  conv.calibrate_scales(x);
+  if (k.gain != 1.0f)
+    for (float& v : conv.mutable_weight().data()) v *= k.gain;
+
+  const auto ref_engine = nn::make_engine({.kind = EngineKind::kProposed,
+                                           .n_bits = k.n_bits,
+                                           .accum_bits = k.accum_bits,
+                                           .backend = MacBackend::kScalar,
+                                           .sparsity = nn::Sparsity::kDense});
+  const auto engine = nn::make_engine({.kind = EngineKind::kProposed,
+                                       .n_bits = k.n_bits,
+                                       .accum_bits = k.accum_bits,
+                                       .backend = MacBackend::kSimd});
+  ASSERT_TRUE(engine->bitplane_stage()) << ctx;
+  conv.set_engine(ref_engine.get());
+  const nn::Tensor ref = conv.forward(x);
+  const MacStats ref_stats = conv.last_forward_stats();
+  conv.set_engine(engine.get());
+  const nn::Tensor got = conv.forward(x);
+  const MacStats stats = conv.last_forward_stats();
+  ASSERT_TRUE(ref.same_shape(got)) << ctx;
+  EXPECT_EQ(std::memcmp(ref.data().data(), got.data().data(), ref.size() * sizeof(float)),
+            0)
+      << ctx;
+  EXPECT_EQ(stats, ref_stats) << ctx;
+  if (k.odd_weights || k.max_codes) {
+    EXPECT_EQ(stats.uncertified, 0u) << ctx;
+  }
+  ++tally.cases;
+  tally.uncertified += stats.uncertified;
+  tally.certified += stats.macs - stats.uncertified;
+  if (!pool) return;
+  conv.set_thread_pool(pool);
+  const nn::Tensor sharded = conv.forward(x);
+  conv.set_thread_pool(nullptr);
+  EXPECT_EQ(std::memcmp(got.data().data(), sharded.data().data(), got.size() * sizeof(float)),
+            0)
+      << ctx << " sharded";
+  EXPECT_EQ(conv.last_forward_stats(), stats) << ctx << " sharded";
+  EXPECT_EQ(conv.last_forward_stats().uncertified, stats.uncertified) << ctx << " sharded";
+}
+
+// Strides 1-3 (stride phases), pads 0-2 (code-0 pad groups), K in {1, 3, 5},
+// output widths C = 5, 6, 7, 12 (every C mod 4, so the last group of four
+// carries 0-3 slack outputs; 12 leaves one group after the 2-group register
+// tile), N = 2..8, signed and non-negative inputs, every third
+// case pushed onto the rails; then Z K^2 on both sides of the 255- and
+// 510-code int16 chunk edges, full-scale codes across them, and odd weights
+// on a zero image, where the padding's +-1 products are the whole output.
+SweepTally run_geometry_sweep(common::ThreadPool* pool) {
+  SweepTally tally;
+  int idx = 0;
+  for (const int kernel : {1, 3, 5})
+    for (const int stride : {1, 2, 3})
+      for (const int pad : {0, 1, 2})
+        for (const int cols : {5, 6, 7, 12}) {
+          const int width = (cols - 1) * stride + kernel - 2 * pad;
+          if (width < 1) continue;
+          const int height = std::max(1, kernel - 2 * pad + stride);
+          check_conv_case({.in_ch = 2, .out_ch = 3, .kernel = kernel, .stride = stride,
+                           .pad = pad, .height = height, .width = width,
+                           .n_bits = 2 + idx % 7, .accum_bits = 2,
+                           .signed_input = idx % 2 == 0,
+                           .gain = idx % 3 == 0 ? 3.0f : 1.0f},
+                          pool, tally);
+          ++idx;
+        }
+  for (const int in_ch : {10, 11, 20, 21})
+    for (const bool max_codes : {false, true})
+      check_conv_case({.in_ch = in_ch, .out_ch = 3, .kernel = 5, .stride = 1, .pad = 2,
+                       .height = 6, .width = 6, .n_bits = 8, .accum_bits = 12,
+                       .signed_input = true, .gain = 1.0f, .max_codes = max_codes},
+                      pool, tally);
+  for (const bool signed_input : {false, true})
+    check_conv_case({.in_ch = 2, .out_ch = 3, .kernel = 3, .stride = 1, .pad = 1,
+                     .height = 5, .width = 5, .n_bits = 8, .accum_bits = 2,
+                     .signed_input = signed_input, .gain = 1.0f, .odd_weights = true},
+                    pool, tally);
+  return tally;
+}
+
+TEST(BitplaneConv, GeometrySweepMatchesLutReference) {
+  if (!bitplane::avx2_kernel() || !nn::backends::best_simd_kernel())
+    GTEST_SKIP() << "no bit-plane kernel on this machine";
+  const SweepTally tally = run_geometry_sweep(nullptr);
+  EXPECT_GT(tally.cases, 100u);
+  EXPECT_GT(tally.certified, 0u);
+  EXPECT_GT(tally.uncertified, 0u);
+}
+
+// The same sweep with every layer also sharded over 4 workers: the plane
+// images are built and read concurrently, and must give the serial result.
+TEST(BitplaneConv, ShardedGeometrySweepMatchesSerial) {
+  if (!bitplane::avx2_kernel() || !nn::backends::best_simd_kernel())
+    GTEST_SKIP() << "no bit-plane kernel on this machine";
+  common::ThreadPool pool(4);
+  const SweepTally tally = run_geometry_sweep(&pool);
+  EXPECT_GT(tally.uncertified, 0u);
 }
 
 TEST(BitplaneStage, ScalarBackendWideNAndOtherKindsStayLutOnly) {

@@ -22,6 +22,7 @@
 #include "nn/mac_backends/mac_backends.hpp"
 #include "nn/mac_engine.hpp"
 #include "nn/network.hpp"
+#include "plane_block.hpp"
 #include "scoped_env.hpp"
 
 namespace scnn {
@@ -80,7 +81,8 @@ TEST(MacBackends, EveryAvailableKernelMatchesScalarReference) {
             nn::bitplane::Coefficients coef;
             coef.assign(w, 1, d, n_bits);
             std::vector<std::int64_t> out(tile, -4);
-            const auto certified = nn::bitplane::run(*bp, coef, patches, tile, lo, hi, out);
+            const PlaneBlock block(patches, d, tile, n_bits);
+            const auto certified = nn::bitplane::run(*bp, coef, block.row(), lo, hi, out);
             for (std::size_t t = 0; t < tile; ++t) {
               if (!certified[t]) continue;
               EXPECT_EQ(out[t], ref[t]) << "bitplane d=" << d << " tile=" << tile

@@ -34,7 +34,9 @@
 // A further section rides on the same model: an avx512-vs-avx2
 // head-to-head, both LUT kernels forced through the SCNN_BACKEND env (so
 // each runs behind the proposed engine's bit-plane stage, as kAuto serves
-// it). Metrics land in BENCH_conv.json as avx512_*/speedup_avx512_vs_avx2_*.
+// it; on an AVX512-VNNI CPU the avx512 side's stage kernel is avx512vnni,
+// the avx2 side's avx2). Metrics land in BENCH_conv.json as
+// avx512_*/speedup_avx512_vs_avx2_*.
 //
 // --assert-speedup additionally fails the run when a SIMD kernel is
 // available but delivers < 1.5x the scalar kernel's serial imgs/s, or when

@@ -15,6 +15,7 @@ CpuFeatures probe() {
   f.avx512vl = __builtin_cpu_supports("avx512vl") != 0;
   f.avx512vbmi = __builtin_cpu_supports("avx512vbmi") != 0;
   f.avx512vpopcntdq = __builtin_cpu_supports("avx512vpopcntdq") != 0;
+  f.avx512vnni = __builtin_cpu_supports("avx512vnni") != 0;
 #endif
 #if defined(__ARM_NEON) || defined(__aarch64__)
   f.neon = true;
@@ -29,6 +30,8 @@ const CpuFeatures& cpu_features() {
   return f;
 }
 
+// avx512vnni is not listed: bench_compare keys its cpu fingerprint on this
+// string, and the committed baselines carry the summary without it.
 std::string cpu_features_summary() {
   const CpuFeatures& f = cpu_features();
   std::string s;

@@ -22,6 +22,7 @@ struct CpuFeatures {
   bool avx512vl = false;  ///< x86 AVX-512 VL (masked 128/256-bit forms)
   bool avx512vbmi = false;       ///< x86 AVX-512 VBMI (vpermb byte shuffles)
   bool avx512vpopcntdq = false;  ///< x86 AVX-512 VPOPCNTDQ (vpopcntq)
+  bool avx512vnni = false;       ///< x86 AVX-512 VNNI (vpdpbusd byte dots)
 
   /// The tier the AVX-512 LUT kernels need (F for gathers + BW for 16-bit
   /// lanes + VL for the 256-bit masked forms the wide variant uses).

@@ -4,13 +4,6 @@
 
 namespace scnn::common {
 
-std::int32_t quantize(double v, int n_bits) {
-  assert(n_bits >= 2 && n_bits <= 31);
-  const double scale = static_cast<double>(std::int64_t{1} << (n_bits - 1));
-  const auto q = static_cast<std::int64_t>(std::llround(v * scale));
-  return static_cast<std::int32_t>(saturate(q, n_bits));
-}
-
 float pow2_ceil(float v) {
   if (v <= 1.0f) return 1.0f;
   return std::exp2(std::ceil(std::log2(v)));

@@ -29,8 +29,25 @@ constexpr std::int64_t saturate(std::int64_t v, int bits) {
 }
 
 /// Quantize a real value in ~[-1,1) to an N-bit signed fraction
-/// (round-to-nearest, saturating). Returns the integer code.
-std::int32_t quantize(double v, int n_bits);
+/// (round-to-nearest with ties away from zero, saturating). Returns the
+/// integer code: saturate(std::llround(v * 2^(N-1)), N) wherever llround is
+/// defined, NaN at the low rail, and inline without libm — it runs once per
+/// activation of every conv input.
+inline std::int32_t quantize(double v, int n_bits) {
+  assert(n_bits >= 2 && n_bits <= 31);
+  const double hi = static_cast<double>(int_max_of(n_bits));
+  const double lo = -hi - 1.0;
+  // Scaling by a power of two is exact (short of overflow, which clamps).
+  const double x = v * static_cast<double>(std::int64_t{1} << (n_bits - 1));
+  // Clamp before any integer conversion: every x past a rail rounds onto or
+  // beyond it, and NaN fails both tests.
+  if (!(x > lo)) return static_cast<std::int32_t>(lo);
+  if (x >= hi) return static_cast<std::int32_t>(hi);
+  // |x| < 2^30: the truncation toward zero and the fraction x - t are exact.
+  const auto t = static_cast<std::int32_t>(x);
+  const double r = x - static_cast<double>(t);
+  return r >= 0.5 ? t + 1 : (r <= -0.5 ? t - 1 : t);
+}
 
 /// Smallest power of two >= v (at least 1.0). Quantization scales are kept
 /// power-of-two so the rescale is a plain shift in hardware; both Conv2D and

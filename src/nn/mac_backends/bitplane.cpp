@@ -79,6 +79,13 @@ void ImageLayout::assign(int channels_, int height_, int width_, int kernel_,
         static_cast<std::size_t>((x + pad_) / stride_) * 8;
 }
 
+std::vector<const Kernel*> available_kernels() {
+  std::vector<const Kernel*> ks;
+  if (const Kernel* k = avx2_kernel()) ks.push_back(k);
+  if (const Kernel* k = avx512_kernel()) ks.push_back(k);
+  return ks;
+}
+
 void gather(const PlaneRow& x, int n_bits, std::size_t t0, std::size_t t1,
             std::span<std::int32_t> codes) {
   const std::size_t d = x.offsets.size();

@@ -144,8 +144,11 @@ using DotsFn = void (*)(const Coefficients& coef, const PlaneRow& x,
 
 /// One kernel of the stage.
 struct Kernel {
-  const char* name;  ///< "avx2"
+  const char* name;  ///< "avx2" | "avx512vnni"
   DotsFn dots;
+  /// The only mac_rows kernel (backends::Kernel::name) this stage kernel
+  /// runs in front of; nullptr = any SIMD kernel.
+  const char* lut = nullptr;
 };
 
 /// The AVX2 (vpmaddubsw) kernel, nullptr where it is not compiled or this
@@ -153,6 +156,17 @@ struct Kernel {
 /// the stage costs more than the one table lookup per product it replaces.
 [[nodiscard]] const Kernel* avx2_kernel();
 [[nodiscard]] bool avx2_kernel_compiled();
+
+/// The AVX-512 VNNI (vpdpbusd) kernel, in front of the avx512 LUT kernel
+/// only; nullptr where it is not compiled or this CPU lacks the avx512 LUT
+/// kernel's F/BW/VL tier or VNNI.
+[[nodiscard]] const Kernel* avx512_kernel();
+[[nodiscard]] bool avx512_kernel_compiled();
+
+/// Every stage kernel runnable on this machine, in rising order of
+/// preference: an engine runs the last one whose `lut` admits its mac_rows
+/// kernel. Tests iterate this to pin each kernel on any host that has it.
+[[nodiscard]] std::vector<const Kernel*> available_kernels();
 
 /// Run the stage over a block: `coef.rows` filter rows against the x.tile
 /// patches of `x`. Writes every out[m * tile + t] and returns one flag per

@@ -92,9 +92,11 @@ std::vector<KernelSupport> kernel_support() {
       {"neon", neon_kernel_compiled(), f.neon},
       {"avx2", avx2_kernel_compiled(), f.avx2},
       {"avx512", avx512_kernel_compiled(), f.avx512_mac_tier()},
-      // The proposed engine's certified bit-plane stage, which runs in
-      // front of any of the SIMD kernels above (see bitplane.hpp).
+      // The proposed engine's certified bit-plane stage kernels, which run
+      // in front of the SIMD kernels above (see bitplane.hpp).
       {"bitplane-avx2", bitplane::avx2_kernel_compiled(), f.avx2},
+      {"bitplane-avx512vnni", bitplane::avx512_kernel_compiled(),
+       f.avx512_mac_tier() && f.avx512vnni},
   };
 }
 

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -33,13 +34,18 @@ static_assert(bitplane::kMaxBits + EngineConfig::kMaxAccumBits <= 30,
 /// table only (the closed form is its product function), at N <= 8, and
 /// never in front of the scalar reference kernel — backend = scalar (and
 /// SCNN_BACKEND=scalar) stays the pure LUT path that bit-exactness checks
-/// compare against.
+/// compare against. Otherwise the most preferred stage kernel that admits
+/// `kernel`: avx512vnni in front of avx512 on a VNNI CPU, avx2 everywhere
+/// else, so an engine forced onto avx2 carries no zmm code.
 const bitplane::Kernel* select_bitplane(bool proposed_table, int n_bits,
                                         const backends::Kernel& kernel) {
   if (!proposed_table || n_bits > bitplane::kMaxBits ||
       &kernel == &backends::scalar_kernel())
     return nullptr;
-  return bitplane::avx2_kernel();
+  const bitplane::Kernel* stage = nullptr;
+  for (const bitplane::Kernel* k : bitplane::available_kernels())
+    if (!k->lut || std::string_view(k->lut) == kernel.name) stage = k;
+  return stage;
 }
 
 /// What an engine over `kernel`, with `stage` in front (or none), runs at

@@ -210,7 +210,7 @@ class MacEngine {
                           ///< "avx512" | "neon", or
                           ///< "bitplane-<stage>+<LUT kernel>" when the
                           ///< bit-plane stage runs in front of a LUT kernel
-                          ///< (e.g. "bitplane-avx2+avx512")
+                          ///< (e.g. "bitplane-avx512vnni+avx512")
     int lanes = 1;        ///< output elements per LUT kernel step
     std::string sparsity = "dense";  ///< resolved scheduling: "dense" |
                                      ///< "zero-skip"
@@ -279,10 +279,13 @@ class MacEngine {
   /// view. Layers use this to decide whether building the PackedRowCodes
   /// cache is worth anything.
   [[nodiscard]] virtual bool zero_skip() const { return false; }
-  /// True when mac_block runs the certified bit-plane stage given
-  /// WeightRows::planes — layers build the coefficient cache and the plane
-  /// image only then, and otherwise feed mac_rows int32 patches.
-  [[nodiscard]] virtual bool bitplane_stage() const { return false; }
+  /// The certified bit-plane stage kernel mac_block runs given
+  /// WeightRows::planes, or nullptr for none.
+  [[nodiscard]] virtual const bitplane::Kernel* bitplane_kernel() const { return nullptr; }
+  /// True when mac_block runs the stage — layers build the coefficient
+  /// cache and the plane image only then, and otherwise feed mac_rows int32
+  /// patches.
+  [[nodiscard]] bool bitplane_stage() const { return bitplane_kernel() != nullptr; }
   [[nodiscard]] int bits() const { return n_; }
   [[nodiscard]] int accum_bits() const { return a_; }
 
@@ -330,7 +333,7 @@ class LutEngine final : public MacEngine {
   [[nodiscard]] std::string name() const override { return lut_.name(); }
   [[nodiscard]] Description describe() const override;
   [[nodiscard]] bool zero_skip() const override { return zero_skip_; }
-  [[nodiscard]] bool bitplane_stage() const override { return bitplane_ != nullptr; }
+  [[nodiscard]] const bitplane::Kernel* bitplane_kernel() const override { return bitplane_; }
 
   [[nodiscard]] const sc::ProductLut& lut() const { return lut_; }
 

@@ -28,6 +28,7 @@
 #include "nn/mac_engine.hpp"
 #include "nn/network.hpp"
 #include "plane_block.hpp"
+#include "scoped_env.hpp"
 
 namespace scnn {
 namespace {
@@ -109,11 +110,12 @@ TEST(BitplaneLayout, PlaneGroupsRoundTripEveryCode) {
   }
 }
 
-// Every (qw, qx) pair through the stage's own layout and kernel: one-code
-// rows against one-code patches are single products, all certified at A = 2.
+// Every (qw, qx) pair through the stage's own layout and every stage kernel
+// this machine runs: one-code rows against one-code patches are single
+// products, all certified at A = 2.
 TEST(BitplaneStage, SingleProductsMatchTheTableExhaustively) {
-  const bitplane::Kernel* kernel = bitplane::avx2_kernel();
-  if (!kernel) GTEST_SKIP() << "no bit-plane kernel on this machine";
+  const auto kernels = bitplane::available_kernels();
+  if (kernels.empty()) GTEST_SKIP() << "no bit-plane kernel on this machine";
   for (int n = 2; n <= bitplane::kMaxBits; ++n) {
     const sc::ProductLut lut = core::make_proposed_lut(n);
     const std::int32_t half = std::int32_t{1} << (n - 1);
@@ -121,17 +123,20 @@ TEST(BitplaneStage, SingleProductsMatchTheTableExhaustively) {
     for (std::int32_t q = -half; q < half; ++q) codes.push_back(q);
     bitplane::Coefficients coef;
     coef.assign(codes, static_cast<int>(codes.size()), 1, n);
-    std::vector<std::int64_t> out(codes.size() * codes.size(), -1);
     const PlaneBlock block(codes, 1, codes.size(), n);
-    const auto flags = bitplane::run(*kernel, coef, block.row(), common::int_min_of(n + 2),
-                                     common::int_max_of(n + 2), out);
-    std::uint64_t failures = 0;
-    for (std::size_t m = 0; m < codes.size(); ++m)
-      for (std::size_t t = 0; t < codes.size(); ++t) {
-        const std::size_t o = m * codes.size() + t;
-        if (!flags[o] || out[o] != lut.at(codes[m], codes[t])) ++failures;
-      }
-    EXPECT_EQ(failures, 0u) << "N=" << n;
+    for (const bitplane::Kernel* kernel : kernels) {
+      std::vector<std::int64_t> out(codes.size() * codes.size(), -1);
+      const auto flags = bitplane::run(*kernel, coef, block.row(),
+                                       common::int_min_of(n + 2), common::int_max_of(n + 2),
+                                       out);
+      std::uint64_t failures = 0;
+      for (std::size_t m = 0; m < codes.size(); ++m)
+        for (std::size_t t = 0; t < codes.size(); ++t) {
+          const std::size_t o = m * codes.size() + t;
+          if (!flags[o] || out[o] != lut.at(codes[m], codes[t])) ++failures;
+        }
+      EXPECT_EQ(failures, 0u) << kernel->name << " N=" << n;
+    }
   }
 }
 
@@ -148,15 +153,18 @@ std::vector<std::int32_t> random_codes(std::size_t count, int n_bits, bool signe
   return codes;
 }
 
-// Raw blocks: every certified output equals the scalar LUT reference and has
-// no clamp event there; the engine's block call, fallback included, equals
-// the scalar engine's mac_rows per filter row in values and MacStats. Rows
-// straddle the 2-row register tiles, tiles straddle the groups of four
-// outputs and the 2-group register tiles, d = 0 is included, and
-// both signed (folded) and all-non-negative patch blocks occur.
+// Raw blocks through every stage kernel this machine runs: every certified
+// output equals the scalar LUT reference and has no clamp event there, and
+// every kernel certifies the same outputs; the engine's block call, fallback
+// included, equals the scalar engine's mac_rows per filter row in values and
+// MacStats. Rows 1-9 straddle the 4-, 2- and 1-row register tiles; tiles
+// straddle the groups of four outputs and cover the avx2 kernel's 2-group
+// tile and the avx512vnni kernel's zmm pairs (16 outputs), single zmm group
+// (8) and 4-output ymm tail; d = 0 is included, and both signed (folded) and
+// all-non-negative patch blocks occur.
 TEST(BitplaneStage, BlocksMatchScalarReferenceIncludingFallback) {
-  const bitplane::Kernel* kernel = bitplane::avx2_kernel();
-  if (!kernel) GTEST_SKIP() << "no bit-plane kernel on this machine";
+  const auto kernels = bitplane::available_kernels();
+  if (kernels.empty()) GTEST_SKIP() << "no bit-plane kernel on this machine";
   const nn::backends::Kernel& scalar = nn::backends::scalar_kernel();
   std::uint64_t certified = 0, uncertified = 0, mixed_blocks = 0;
   for (const int n_bits : {2, 4, 5, 8}) {
@@ -175,8 +183,9 @@ TEST(BitplaneStage, BlocksMatchScalarReferenceIncludingFallback) {
       ASSERT_TRUE(engine->bitplane_stage());
       ASSERT_FALSE(ref_engine->bitplane_stage());
       for (const std::size_t d : {0, 1, 5, 27, 75}) {
-        for (const int rows : {1, 2, 3, 5}) {
-          for (const std::size_t tile : {0, 1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 24}) {
+        for (int rows = 1; rows <= 9; ++rows) {
+          for (const std::size_t tile :
+               {0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 20, 24, 28, 33}) {
             for (const bool signed_patches : {false, true}) {
               const std::uint64_t seed = 7919 * d + 131 * tile +
                                          static_cast<std::uint64_t>(rows * 17 + bits) +
@@ -197,37 +206,52 @@ TEST(BitplaneStage, BlocksMatchScalarReferenceIncludingFallback) {
                         std::any_of(patches.begin(), patches.end(),
                                     [](std::int32_t q) { return q < 0; }))
                   << label;
-              std::vector<std::int64_t> out(static_cast<std::size_t>(rows) * tile, -7);
-              const auto flags = bitplane::run(*kernel, coef, block.row(), lo, hi, out);
-              std::uint64_t block_cert = 0;
-              for (int m = 0; m < rows; ++m) {
-                const std::span<const std::int32_t> row =
-                    std::span<const std::int32_t>(w).subspan(static_cast<std::size_t>(m) * d, d);
-                for (std::size_t t = 0; t < tile; ++t) {
-                  const std::size_t o = static_cast<std::size_t>(m) * tile + t;
-                  if (!flags[o]) continue;
-                  ++block_cert;
-                  std::int64_t ref = -1;
-                  const std::uint64_t sat = scalar.narrow(
-                      lut, row, std::span<const std::int32_t>(patches).subspan(t * d, d),
-                      std::span<std::int64_t>(&ref, 1), lo, hi);
-                  EXPECT_EQ(out[o], ref) << label << " m=" << m << " t=" << t;
-                  EXPECT_EQ(sat, 0u) << label << " m=" << m << " t=" << t;
-                  if (d == 0) EXPECT_EQ(out[o], 0) << label;
-                }
-              }
               const std::uint64_t outputs = static_cast<std::uint64_t>(rows) * tile;
-              if (d == 0) EXPECT_EQ(block_cert, outputs) << label;
-              certified += block_cert;
-              uncertified += outputs - block_cert;
-              if (block_cert > 0 && block_cert < outputs) ++mixed_blocks;
+              std::vector<std::uint8_t> first_flags;
+              for (const bitplane::Kernel* kernel : kernels) {
+                const std::string ctx = std::string(kernel->name) + " " + label;
+                std::vector<std::int64_t> out(outputs, -7);
+                const auto flags = bitplane::run(*kernel, coef, block.row(), lo, hi, out);
+                if (kernel == kernels.front())
+                  first_flags.assign(flags.begin(), flags.end());
+                else
+                  EXPECT_TRUE(std::equal(flags.begin(), flags.end(), first_flags.begin(),
+                                         first_flags.end()))
+                      << ctx;
+                std::uint64_t block_cert = 0;
+                for (int m = 0; m < rows; ++m) {
+                  const std::span<const std::int32_t> row =
+                      std::span<const std::int32_t>(w).subspan(static_cast<std::size_t>(m) * d,
+                                                               d);
+                  for (std::size_t t = 0; t < tile; ++t) {
+                    const std::size_t o = static_cast<std::size_t>(m) * tile + t;
+                    if (!flags[o]) continue;
+                    ++block_cert;
+                    std::int64_t ref = -1;
+                    const std::uint64_t sat = scalar.narrow(
+                        lut, row, std::span<const std::int32_t>(patches).subspan(t * d, d),
+                        std::span<std::int64_t>(&ref, 1), lo, hi);
+                    EXPECT_EQ(out[o], ref) << ctx << " m=" << m << " t=" << t;
+                    EXPECT_EQ(sat, 0u) << ctx << " m=" << m << " t=" << t;
+                    if (d == 0) {
+                      EXPECT_EQ(out[o], 0) << ctx;
+                    }
+                  }
+                }
+                if (d == 0) {
+                  EXPECT_EQ(block_cert, outputs) << ctx;
+                }
+                certified += block_cert;
+                uncertified += outputs - block_cert;
+                if (block_cert > 0 && block_cert < outputs) ++mixed_blocks;
+              }
 
               // Engine level: the block call with the stage against the
               // scalar engine's mac_rows per filter row.
               const nn::WeightRows wr{.dense = w, .rows = rows, .d = d};
               nn::WeightRows staged = wr;
               staged.planes = &coef;
-              std::vector<std::int64_t> ref_out(out.size(), -1), got(out.size(), -2);
+              std::vector<std::int64_t> ref_out(outputs, -1), got(outputs, -2);
               MacStats ref_stats, got_stats;
               ref_stats.detail = got_stats.detail = true;
               for (int m = 0; m < rows; ++m)
@@ -238,7 +262,10 @@ TEST(BitplaneStage, BlocksMatchScalarReferenceIncludingFallback) {
               engine->mac_block(staged, block.row(), got, got_stats);
               EXPECT_EQ(got, ref_out) << label;
               EXPECT_EQ(got_stats, ref_stats) << label;
-              EXPECT_EQ(got_stats.uncertified, outputs - block_cert) << label;
+              EXPECT_EQ(got_stats.uncertified,
+                        outputs - static_cast<std::uint64_t>(std::count(
+                                      first_flags.begin(), first_flags.end(), 1)))
+                  << label;
               EXPECT_EQ(ref_stats.uncertified, 0u) << label;
             }
           }
@@ -249,6 +276,128 @@ TEST(BitplaneStage, BlocksMatchScalarReferenceIncludingFallback) {
   EXPECT_GT(certified, 0u);
   EXPECT_GT(uncertified, 0u);
   EXPECT_GT(mixed_blocks, 0u);
+}
+
+// Each stage kernel's raw dot products on real conv plane images: for every
+// output row of an ImageLayout, s and a of every filter row and output must
+// equal a scalar dot over the codes decoded from the image, built from the
+// closed form's c_i(k) (not from Coefficients), against the offset image
+// (s) and the fold's offset image (a). Strides 1-3, pads 0-2, K 1/3/5 and
+// output widths C in {5, 7, 8, 12, 13, 24, 32} cover every zmm/ymm group
+// split; 1-9 filter rows every mix of the 4-, 2- and 1-row tiles;
+// Z K^2 = 250/275/500/525 the avx2 kernel's int16 chunk edges and 4025 a
+// long row, with random and full-scale codes. Signed images read a folded
+// image, non-negative ones read their plane image twice. Every kernel writes
+// into fresh buffers, so an output it skips cannot pass on a stale value.
+struct LayoutCase {
+  int in_ch, kernel, stride, pad, cols, n_bits, rows;
+  bool full_scale = false;
+};
+
+void check_layout_case(const LayoutCase& k, std::span<const bitplane::Kernel* const> kernels) {
+  const int height = std::max(1, k.kernel - 2 * k.pad + 2 * k.stride);
+  const int width = (k.cols - 1) * k.stride + k.kernel - 2 * k.pad;
+  if (width < 1) return;
+  bitplane::ImageLayout layout;
+  layout.assign(k.in_ch, height, width, k.kernel, k.stride, k.pad);
+  const int out_rows = (height + 2 * k.pad - k.kernel) / k.stride + 1;
+  const std::size_t d = layout.offsets.size();
+  const int rows = k.rows;
+  const int n = k.n_bits;
+  const std::int32_t half = std::int32_t{1} << (n - 1);
+  const std::size_t pitch = (static_cast<std::size_t>(k.cols) + 3) / 4 * 4;
+  for (const bool folded : {false, true}) {
+    const std::string ctx = "Z=" + std::to_string(k.in_ch) + " K=" + std::to_string(k.kernel) +
+                            " S=" + std::to_string(k.stride) + " P=" + std::to_string(k.pad) +
+                            " C=" + std::to_string(k.cols) + " N=" + std::to_string(n) +
+                            " M=" + std::to_string(rows) + (k.full_scale ? " full" : "") + (folded ? " folded" : "");
+    common::SplitMix64 rng(static_cast<std::uint64_t>(k.in_ch * 7919 + k.kernel * 131 +
+                                                      k.stride * 17 + k.pad * 5 + k.cols +
+                                                      n * 1009 + (folded ? 1 : 0)));
+    // Pad groups everywhere, then every pixel's code.
+    std::vector<std::uint8_t> u(layout.image_bytes), f;
+    const std::uint64_t pad_group = bitplane::plane_group(0, n);
+    for (std::size_t o = 0; o < u.size(); o += 8) std::memcpy(u.data() + o, &pad_group, 8);
+    for (int z = 0; z < k.in_ch; ++z)
+      for (int y = 0; y < height; ++y)
+        for (int x = 0; x < width; ++x) {
+          const std::int32_t q =
+              k.full_scale ? (folded ? -half : half - 1)
+                           : (folded ? static_cast<std::int32_t>(rng.next_below(2u * half)) - half
+                                     : static_cast<std::int32_t>(rng.next_below(half)));
+          const std::uint64_t g = bitplane::plane_group(q, n);
+          std::memcpy(u.data() + layout.pixel(z, y, x), &g, 8);
+        }
+    if (folded) {
+      f.resize(u.size());
+      for (std::size_t o = 0; o < u.size(); o += 8) {
+        std::uint64_t g;
+        std::memcpy(&g, u.data() + o, 8);
+        g = bitplane::folded_group(g, n);
+        std::memcpy(f.data() + o, &g, 8);
+      }
+    }
+    std::vector<std::int32_t> w(static_cast<std::size_t>(rows) * d);
+    for (auto& q : w)
+      q = k.full_scale ? -half : static_cast<std::int32_t>(rng.next_below(2u * half)) - half;
+    bitplane::Coefficients coef;
+    coef.assign(w, rows, d, n);
+
+    for (int r = 0; r < out_rows; ++r) {
+      const std::size_t origin = layout.row_origin(r);
+      const bitplane::PlaneRow x{.u = u.data() + origin,
+                                 .f = (folded ? f.data() : u.data()) + origin,
+                                 .offsets = layout.offsets,
+                                 .tile = static_cast<std::size_t>(k.cols)};
+      // The reference from the decoded codes.
+      std::vector<std::int64_t> s_ref(static_cast<std::size_t>(rows) * pitch, 0);
+      std::vector<std::int64_t> a_ref(s_ref.size(), 0);
+      for (std::size_t t = 0; t < x.tile; ++t)
+        for (std::size_t j = 0; j < d; ++j) {
+          std::uint64_t g;
+          std::memcpy(&g, x.u + layout.offsets[j] + 8 * t, 8);
+          const std::int32_t q = bitplane::plane_code(g, n);
+          const auto uo = static_cast<std::uint32_t>(q + half);
+          const auto uf = static_cast<std::uint32_t>((q >= 0 ? q : ~q) + half);
+          for (int m = 0; m < rows; ++m) {
+            const std::int32_t qw = w[static_cast<std::size_t>(m) * d + j];
+            const std::int64_t kw = qw < 0 ? -std::int64_t{qw} : qw;
+            const std::size_t o = static_cast<std::size_t>(m) * pitch + t;
+            s_ref[o] += (qw < 0 ? -1 : 1) * plane_sum(n, kw, uo);
+            a_ref[o] += plane_sum(n, kw, uf);
+          }
+        }
+      for (const bitplane::Kernel* kernel : kernels) {
+        std::vector<std::int32_t> sv(s_ref.size(), INT32_MIN), av(s_ref.size(), INT32_MIN);
+        kernel->dots(coef, x, sv.data(), av.data());
+        std::uint64_t failures = 0;
+        for (int m = 0; m < rows; ++m)
+          for (std::size_t t = 0; t < x.tile; ++t) {
+            const std::size_t o = static_cast<std::size_t>(m) * pitch + t;
+            failures += (sv[o] != s_ref[o]) + (av[o] != a_ref[o]);
+          }
+        EXPECT_EQ(failures, 0u) << kernel->name << " " << ctx << " row=" << r;
+      }
+    }
+  }
+}
+
+TEST(BitplaneStage, KernelDotsMatchDecodedCodesOnConvLayouts) {
+  const auto kernels = bitplane::available_kernels();
+  if (kernels.empty()) GTEST_SKIP() << "no bit-plane kernel on this machine";
+  int idx = 0;
+  for (const int kernel : {1, 3, 5})
+    for (const int stride : {1, 2, 3})
+      for (const int pad : {0, 1, 2})
+        for (const int cols : {5, 7, 8, 12, 13, 24, 32})
+          check_layout_case({.in_ch = 2, .kernel = kernel, .stride = stride, .pad = pad,
+                             .cols = cols, .n_bits = 2 + idx % 7, .rows = 1 + idx++ % 9},
+                            kernels);
+  for (const int in_ch : {10, 11, 20, 21, 161})
+    for (const bool full_scale : {false, true})
+      check_layout_case({.in_ch = in_ch, .kernel = 5, .stride = 1, .pad = 2, .cols = 13,
+                         .n_bits = 8, .rows = 7, .full_scale = full_scale},
+                        kernels);
 }
 
 // Whole networks pushed into saturation: conv weights scaled up after
@@ -282,7 +431,9 @@ TEST(BitplaneStage, AdversarialConvMatchesLutReferences) {
                             .sparsity = sparsity});
         const std::string ctx = "N=" + std::to_string(n_bits) + " " +
                                 to_string(sparsity) + " threads=" + std::to_string(threads);
-        EXPECT_EQ(session.backend().backend.rfind("bitplane-avx2+", 0), 0u) << ctx;
+        EXPECT_EQ(session.backend().backend,
+                  expected_backend(nn::backends::best_simd_kernel()->name))
+            << ctx;
         const nn::Tensor got = session.forward(data.images);
         ASSERT_TRUE(ref.same_shape(got)) << ctx;
         EXPECT_EQ(std::memcmp(ref.data().data(), got.data().data(),
@@ -380,11 +531,12 @@ struct SweepTally {
   std::uint64_t certified = 0, uncertified = 0, cases = 0;
 };
 
-// The layer through the stage (kSimd) against the LUT-only reference
-// (backend = scalar, dense): logits byte for byte, MacStats arithmetic
-// equal. With a pool, the sharded forward must also equal the serial one,
-// uncertified count included.
-void check_conv_case(const ConvCase& k, common::ThreadPool* pool, SweepTally& tally) {
+// The layer through the stage (an engine built with `backend`) against the
+// LUT-only reference (backend = scalar, dense): logits byte for byte,
+// MacStats arithmetic equal. With a pool, the sharded forward must also
+// equal the serial one, uncertified count included.
+void check_conv_case(const ConvCase& k, MacBackend backend, common::ThreadPool* pool,
+                     SweepTally& tally) {
   const std::string ctx = k.label();
   nn::Conv2D conv(k.in_ch, k.out_ch, k.kernel, k.stride, k.pad);
   conv.init_weights(static_cast<std::uint64_t>(k.in_ch * 131 + k.kernel * 17 + k.width));
@@ -412,7 +564,7 @@ void check_conv_case(const ConvCase& k, common::ThreadPool* pool, SweepTally& ta
   const auto engine = nn::make_engine({.kind = EngineKind::kProposed,
                                        .n_bits = k.n_bits,
                                        .accum_bits = k.accum_bits,
-                                       .backend = MacBackend::kSimd});
+                                       .backend = backend});
   ASSERT_TRUE(engine->bitplane_stage()) << ctx;
   conv.set_engine(ref_engine.get());
   const nn::Tensor ref = conv.forward(x);
@@ -449,7 +601,7 @@ void check_conv_case(const ConvCase& k, common::ThreadPool* pool, SweepTally& ta
 // case pushed onto the rails; then Z K^2 on both sides of the 255- and
 // 510-code int16 chunk edges, full-scale codes across them, and odd weights
 // on a zero image, where the padding's +-1 products are the whole output.
-SweepTally run_geometry_sweep(common::ThreadPool* pool) {
+SweepTally run_geometry_sweep(MacBackend backend, common::ThreadPool* pool) {
   SweepTally tally;
   int idx = 0;
   for (const int kernel : {1, 3, 5})
@@ -464,7 +616,7 @@ SweepTally run_geometry_sweep(common::ThreadPool* pool) {
                            .n_bits = 2 + idx % 7, .accum_bits = 2,
                            .signed_input = idx % 2 == 0,
                            .gain = idx % 3 == 0 ? 3.0f : 1.0f},
-                          pool, tally);
+                          backend, pool, tally);
           ++idx;
         }
   for (const int in_ch : {10, 11, 20, 21})
@@ -472,19 +624,35 @@ SweepTally run_geometry_sweep(common::ThreadPool* pool) {
       check_conv_case({.in_ch = in_ch, .out_ch = 3, .kernel = 5, .stride = 1, .pad = 2,
                        .height = 6, .width = 6, .n_bits = 8, .accum_bits = 12,
                        .signed_input = true, .gain = 1.0f, .max_codes = max_codes},
-                      pool, tally);
+                      backend, pool, tally);
   for (const bool signed_input : {false, true})
     check_conv_case({.in_ch = 2, .out_ch = 3, .kernel = 3, .stride = 1, .pad = 1,
                      .height = 5, .width = 5, .n_bits = 8, .accum_bits = 2,
                      .signed_input = signed_input, .gain = 1.0f, .odd_weights = true},
-                    pool, tally);
+                    backend, pool, tally);
   return tally;
 }
 
 TEST(BitplaneConv, GeometrySweepMatchesLutReference) {
   if (!bitplane::avx2_kernel() || !nn::backends::best_simd_kernel())
     GTEST_SKIP() << "no bit-plane kernel on this machine";
-  const SweepTally tally = run_geometry_sweep(nullptr);
+  const SweepTally tally = run_geometry_sweep(MacBackend::kSimd, nullptr);
+  EXPECT_GT(tally.cases, 100u);
+  EXPECT_GT(tally.certified, 0u);
+  EXPECT_GT(tally.uncertified, 0u);
+}
+
+// The same sweep with kAuto forced onto the avx2 LUT kernel through
+// SCNN_BACKEND, which puts the avx2 stage in front of it: on AVX-512 hosts
+// this is the avx2 stage's Conv2D coverage.
+TEST(BitplaneConv, Avx2StageGeometrySweepMatchesLutReference) {
+  if (!bitplane::avx2_kernel() || !nn::backends::avx2_kernel())
+    GTEST_SKIP() << "no avx2 bit-plane kernel on this machine";
+  ScopedUnsetEnv guard("SCNN_BACKEND");
+  ASSERT_EQ(setenv("SCNN_BACKEND", "avx2", 1), 0);
+  ASSERT_EQ(nn::make_engine({.kind = EngineKind::kProposed, .n_bits = 8})->describe().backend,
+            "bitplane-avx2+avx2");
+  const SweepTally tally = run_geometry_sweep(MacBackend::kAuto, nullptr);
   EXPECT_GT(tally.cases, 100u);
   EXPECT_GT(tally.certified, 0u);
   EXPECT_GT(tally.uncertified, 0u);
@@ -496,7 +664,7 @@ TEST(BitplaneConv, ShardedGeometrySweepMatchesSerial) {
   if (!bitplane::avx2_kernel() || !nn::backends::best_simd_kernel())
     GTEST_SKIP() << "no bit-plane kernel on this machine";
   common::ThreadPool pool(4);
-  const SweepTally tally = run_geometry_sweep(&pool);
+  const SweepTally tally = run_geometry_sweep(MacBackend::kSimd, &pool);
   EXPECT_GT(tally.uncertified, 0u);
 }
 
@@ -520,7 +688,7 @@ TEST(BitplaneStage, ScalarBackendWideNAndOtherKindsStayLutOnly) {
   // Reports and pool keys resolve exactly what construction built.
   EXPECT_EQ(nn::resolved_backend(cfg).backend, engine->describe().backend);
   EXPECT_EQ(engine->describe().backend,
-            std::string("bitplane-avx2+") + nn::backends::best_simd_kernel()->name);
+            expected_backend(nn::backends::best_simd_kernel()->name));
 }
 
 }  // namespace

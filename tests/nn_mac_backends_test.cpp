@@ -75,9 +75,10 @@ TEST(MacBackends, EveryAvailableKernelMatchesScalarReference) {
           std::vector<std::int64_t> ref(tile, -1);
           const std::uint64_t ref_sat = scalar.narrow(lut, w, patches, ref, lo, hi);
 
-          // The bit-plane stage in front of these kernels: each output it
-          // certifies must equal the reference and carry no clamp event.
-          if (const nn::bitplane::Kernel* bp = nn::bitplane::avx2_kernel()) {
+          // Every bit-plane stage kernel in front of these kernels: each
+          // output it certifies must equal the reference and carry no clamp
+          // event.
+          for (const nn::bitplane::Kernel* bp : nn::bitplane::available_kernels()) {
             nn::bitplane::Coefficients coef;
             coef.assign(w, 1, d, n_bits);
             std::vector<std::int64_t> out(tile, -4);
@@ -85,16 +86,17 @@ TEST(MacBackends, EveryAvailableKernelMatchesScalarReference) {
             const auto certified = nn::bitplane::run(*bp, coef, block.row(), lo, hi, out);
             for (std::size_t t = 0; t < tile; ++t) {
               if (!certified[t]) continue;
-              EXPECT_EQ(out[t], ref[t]) << "bitplane d=" << d << " tile=" << tile
-                                        << " t=" << t;
+              EXPECT_EQ(out[t], ref[t]) << "bitplane-" << bp->name << " d=" << d
+                                        << " tile=" << tile << " t=" << t;
               std::int64_t one = 0;
               EXPECT_EQ(scalar.narrow(lut, w, std::span(patches).subspan(t * d, d),
                                       std::span(&one, 1), lo, hi),
                         0u);
             }
-            if (d == 0)
+            if (d == 0) {
               EXPECT_EQ(std::count(certified.begin(), certified.end(), 1),
                         static_cast<std::ptrdiff_t>(tile));
+            }
           }
 
           for (const Kernel* k : kernels) {
@@ -322,9 +324,8 @@ TEST(MacBackends, SimdRequestThrowsWhereUnavailable) {
         {.kind = EngineKind::kProposed, .n_bits = 8, .backend = MacBackend::kSimd});
     EXPECT_NE(engine->describe().backend, "scalar");
     // The proposed kind names its bit-plane stage and the LUT fallback.
-    const std::string kernel = nn::backends::best_simd_kernel()->name;
     EXPECT_EQ(engine->describe().backend,
-              nn::bitplane::avx2_kernel() ? "bitplane-avx2+" + kernel : kernel);
+              expected_backend(nn::backends::best_simd_kernel()->name));
     EXPECT_EQ(engine->describe().lanes, nn::backends::best_simd_kernel()->lanes);
   } else {
     EXPECT_THROW(nn::make_engine({.kind = EngineKind::kProposed, .n_bits = 8,
@@ -388,6 +389,7 @@ TEST(MacBackends, KernelSupportInventoryIsConsistent) {
   const auto support = nn::backends::kernel_support();
   ASSERT_GE(support.size(), 5u);  // scalar, sse2, neon, avx2, avx512, ...
   bool saw_scalar = false;
+  int stage_rows = 0;
   for (const auto& s : support) {
     const std::string_view name = s.name;
     if (s.supported) EXPECT_TRUE(s.compiled) << name;
@@ -396,13 +398,39 @@ TEST(MacBackends, KernelSupportInventoryIsConsistent) {
       EXPECT_TRUE(s.compiled);
       EXPECT_TRUE(s.supported);
     }
-    // The proposed engine's bit-plane stage, not a mac_rows kernel.
-    if (name == "bitplane-avx2") continue;
+    // The proposed engine's bit-plane stage kernels, not mac_rows kernels:
+    // runnable exactly when bitplane::available_kernels() lists them.
+    if (name.starts_with("bitplane-")) {
+      const auto stages = nn::bitplane::available_kernels();
+      EXPECT_EQ(s.compiled && s.supported,
+                std::any_of(stages.begin(), stages.end(),
+                            [&](const nn::bitplane::Kernel* k) {
+                              return name.substr(9) == k->name;
+                            }))
+          << name;
+      ++stage_rows;
+      continue;
+    }
     EXPECT_EQ(s.compiled && s.supported,
               nn::backends::kernel_by_name(name) != nullptr)
         << name;
   }
   EXPECT_TRUE(saw_scalar);
+  EXPECT_EQ(stage_rows, 2);  // bitplane-avx2, bitplane-avx512vnni
+}
+
+TEST(MacBackends, Avx2EnvResolvesToTheAvx2Stage) {
+  // SCNN_BACKEND=avx2 is how A/B runs and tests reach the avx2 stage on
+  // AVX-512 hosts: the avx512vnni stage never runs in front of avx2.
+  if (!nn::backends::avx2_kernel() || !nn::bitplane::avx2_kernel())
+    GTEST_SKIP() << "no avx2 kernel on this machine";
+  ScopedUnsetEnv guard("SCNN_BACKEND");
+  ASSERT_EQ(setenv("SCNN_BACKEND", "avx2", 1), 0);
+  const EngineConfig cfg{.kind = EngineKind::kProposed, .n_bits = 8};
+  EXPECT_EQ(nn::resolved_backend(cfg).backend, "bitplane-avx2+avx2");
+  const auto engine = nn::make_engine(cfg);
+  EXPECT_EQ(engine->describe().backend, "bitplane-avx2+avx2");
+  EXPECT_EQ(engine->bitplane_kernel(), nn::bitplane::avx2_kernel());
 }
 
 }  // namespace

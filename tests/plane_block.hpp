@@ -3,17 +3,34 @@
 // 1 x tile image of d channels under a 1 x 1 kernel — code j of output t is
 // the plane group at offsets[j] + 8 t, each channel padded to whole groups
 // of four outputs with the code-0 group. The folded image exists only when
-// some code is negative, as in Conv2D.
+// some code is negative, as in Conv2D. Also the rule that picks the stage
+// kernel, as the tests state it.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "nn/mac_backends/bitplane.hpp"
 
 namespace scnn {
+
+/// What a proposed-kind engine at N <= 8 over mac_rows kernel `lut`
+/// describes itself as: the avx512vnni stage in front of avx512 where this
+/// CPU runs it, the avx2 stage in front of every other SIMD kernel, and no
+/// stage in front of the scalar reference.
+inline std::string expected_backend(std::string_view lut) {
+  namespace bitplane = nn::bitplane;
+  const bitplane::Kernel* stage = nullptr;
+  if (lut != "scalar")
+    stage = lut == "avx512" && bitplane::avx512_kernel() ? bitplane::avx512_kernel()
+                                                         : bitplane::avx2_kernel();
+  return stage ? "bitplane-" + std::string(stage->name) + "+" + std::string(lut)
+               : std::string(lut);
+}
 
 struct PlaneBlock {
   std::vector<std::uint8_t> u, f;

@@ -440,7 +440,8 @@ int cmd_stats(const Args& args) {
                     : 0.0);
   }
   std::printf("bit-plane stage: %s; %llu of %llu outputs uncertified (LUT fallback)\n",
-              session.engine()->bitplane_stage() ? "on" : "off",
+              session.engine()->bitplane_stage() ? session.engine()->bitplane_kernel()->name
+                                                 : "off",
               static_cast<unsigned long long>(stats.uncertified),
               static_cast<unsigned long long>(stats.macs));
 

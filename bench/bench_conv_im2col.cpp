@@ -32,19 +32,21 @@
 // BENCH_conv.json (zskip_* metrics).
 //
 // A further section rides on the same model: an avx512-vs-avx2
-// head-to-head, both LUT kernels forced through the SCNN_BACKEND env (so
-// each runs behind the proposed engine's bit-plane stage, as kAuto serves
-// it; on an AVX512-VNNI CPU the avx512 side's stage kernel is avx512vnni,
-// the avx2 side's avx2). Metrics land in BENCH_conv.json as
-// avx512_*/speedup_avx512_vs_avx2_*.
+// head-to-head, both LUT kernels forced through the SCNN_BACKEND env, so
+// each runs behind the proposed engine's bit-plane stage as kAuto serves
+// it. What it compares is therefore the two engines' describe() strings,
+// which its printed line and gate messages name: on an AVX512-VNNI CPU
+// bitplane-avx512vnni+avx512 against bitplane-avx2+avx2 (mostly the two
+// stage kernels), on other CPUs the LUT kernels behind one avx2 stage.
+// Metrics land in BENCH_conv.json as avx512_*/speedup_avx512_vs_avx2_*.
 //
 // --assert-speedup additionally fails the run when a SIMD kernel is
 // available but delivers < 1.5x the scalar kernel's serial imgs/s, or when
 // zero-skip delivers < 1.2x the dense scalar schedule on the sparse model
 // (a loud SKIP, never a silent pass, where a kernel pair is missing or under
 // --quick). The avx512-vs-avx2 gate is measurement-driven: >= 1.3x passes,
-// a ratio inside [0.7x, 1.3x) is a loud SKIP naming the cause (the LUT
-// gather dominates, and hosts that retire zmm gathers at ymm per-lane rate
+// a ratio inside [0.7x, 1.3x) is a loud SKIP naming both engines (where the
+// LUT gather dominates, hosts that retire zmm gathers at ymm per-lane rate
 // cap avx512 at avx2 parity), and < 0.7x fails as a genuine kernel
 // regression.
 #include <array>
@@ -337,6 +339,7 @@ int main(int argc, char** argv) {
   // SKIP is loud so a missing row is never mistaken for parity.
   double avx512_vs_avx2_serial = 0.0, avx512_vs_avx2_t4 = 0.0;
   std::array<std::array<double, 2>, 2> pair_ms{};  // [avx2, avx512][1, 4 thr]
+  std::array<std::string, 2> pair_desc;           // each side's describe()
   const bool have_avx512_pair =
       scnn::nn::backends::kernel_by_name("avx2") != nullptr &&
       scnn::nn::backends::kernel_by_name("avx512") != nullptr;
@@ -347,6 +350,7 @@ int main(int argc, char** argv) {
       setenv("SCNN_BACKEND", pair[ki], 1);
       session.set_engine({.kind = EngineKind::kProposed, .n_bits = kBits,
                           .threads = 1, .backend = MacBackend::kAuto});
+      pair_desc[ki] = session.backend().backend;
       for (const int ti : {0, 1}) {
         session.set_threads(ti == 0 ? 1 : 4);
         pair_ms[ki][ti] = time_forward_ms(session, data.images, reps);
@@ -356,8 +360,8 @@ int main(int argc, char** argv) {
     unsetenv("SCNN_BACKEND");
     avx512_vs_avx2_serial = pair_ms[0][0] / pair_ms[1][0];
     avx512_vs_avx2_t4 = pair_ms[0][1] / pair_ms[1][1];
-    std::printf("avx512 vs avx2 mac_rows: %.2fx serial, %.2fx at 4 threads\n",
-                avx512_vs_avx2_serial, avx512_vs_avx2_t4);
+    std::printf("%s vs %s: %.2fx serial, %.2fx at 4 threads\n", pair_desc[1].c_str(),
+                pair_desc[0].c_str(), avx512_vs_avx2_serial, avx512_vs_avx2_t4);
   } else {
     std::printf("SKIP: avx512-vs-avx2 lanes (need both kernels runnable; "
                 "have avx2=%d avx512=%d)\n",
@@ -488,24 +492,22 @@ int main(int argc, char** argv) {
       std::printf("SKIP: --assert-speedup avx512-vs-avx2 — both kernels must "
                   "be runnable here, nothing to compare\n");
     } else if (avx512_vs_avx2_serial >= 1.3) {
-      std::printf("speedup assertion: avx512 >= 1.3x avx2 (%.2fx) — OK\n",
-                  avx512_vs_avx2_serial);
+      std::printf("speedup assertion: %s >= 1.3x %s (%.2fx) — OK\n",
+                  pair_desc[1].c_str(), pair_desc[0].c_str(), avx512_vs_avx2_serial);
     } else if (avx512_vs_avx2_serial >= 0.7) {
-      // Gather-bound parity band. The LUT fetch dominates this kernel, and
-      // x86 gather units retire a fixed number of lanes per cycle, so hosts
-      // whose zmm gathers run at ymm per-lane rate cap avx512 at roughly
-      // avx2 parity no matter how wide the ALU work is. That is a property
-      // of the machine, not a kernel regression.
-      std::printf("SKIP: --assert-speedup avx512-vs-avx2 — %.2fx is within "
-                  "the gather-throughput parity band [0.7x, 1.3x); this host "
-                  "retires zmm gathers at ymm per-lane rate\n",
-                  avx512_vs_avx2_serial);
+      // Parity band. Where the LUT fetch dominates, x86 gather units retire
+      // a fixed number of lanes per cycle, so hosts whose zmm gathers run at
+      // ymm per-lane rate cap avx512 at roughly avx2 parity no matter how
+      // wide the ALU work is. That is a property of the machine, not a
+      // kernel regression.
+      std::printf("SKIP: --assert-speedup %s vs %s — %.2fx is within the "
+                  "gather-throughput parity band [0.7x, 1.3x)\n",
+                  pair_desc[1].c_str(), pair_desc[0].c_str(), avx512_vs_avx2_serial);
     } else {
-      std::printf("FAIL: avx512 mac_rows is only %.2fx the avx2 kernel — "
-                  "below the 0.7x gather-parity floor, which gather "
-                  "throughput alone cannot explain (--assert-speedup "
-                  "requires >= 1.3x or parity)\n",
-                  avx512_vs_avx2_serial);
+      std::printf("FAIL: %s is only %.2fx %s — below the 0.7x gather-parity "
+                  "floor, which gather throughput alone cannot explain "
+                  "(--assert-speedup requires >= 1.3x or parity)\n",
+                  pair_desc[1].c_str(), avx512_vs_avx2_serial, pair_desc[0].c_str());
       return 1;
     }
   }

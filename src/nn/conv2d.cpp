@@ -1,10 +1,12 @@
 #include "nn/conv2d.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 
 #include "common/fixed_point.hpp"
 #include "common/rng.hpp"
@@ -146,73 +148,54 @@ const bitplane::Coefficients& Conv2D::bitplane_coefficients_(int n_bits) const {
   return bitplane_cache_;
 }
 
-std::vector<const std::uint8_t*> Conv2D::build_plane_images_(const Tensor& x,
-                                                             int n_bits) {
-  const int H = x.h(), W = x.w();
-  if (!plane_layout_.matches(in_ch_, H, W, k_, s_, p_))
-    plane_layout_.assign(in_ch_, H, W, k_, s_, p_);
-  const bitplane::ImageLayout& layout = plane_layout_;
-  const std::size_t images = static_cast<std::size_t>(x.n());
-  const std::size_t plane = static_cast<std::size_t>(H) * W;
-  plane_image_.resize(images * layout.image_bytes);
-  // One item = one (image, channel): pad groups everywhere, then each
-  // pixel's code quantized straight into its group.
-  const std::int64_t items = static_cast<std::int64_t>(images) * in_ch_;
-  std::vector<std::uint8_t> negative(static_cast<std::size_t>(items), 0);
-  const std::uint64_t pad_group = bitplane::plane_group(0, n_bits);
-  common::parallel_for(pool_, items, [&](std::int64_t lo, std::int64_t hi, int) {
-    for (std::int64_t item = lo; item < hi; ++item) {
-      const std::size_t n = static_cast<std::size_t>(item / in_ch_);
-      const int z = static_cast<int>(item % in_ch_);
-      std::uint8_t* image = plane_image_.data() + n * layout.image_bytes;
-      std::uint8_t* channel = image + static_cast<std::size_t>(z) * layout.channel_bytes;
-      for (std::size_t o = 0; o < layout.channel_bytes; o += 8)
-        std::memcpy(channel + o, &pad_group, 8);
-      const float* src = x.data().data() +
-                         (n * static_cast<std::size_t>(in_ch_) + static_cast<std::size_t>(z)) * plane;
-      bool neg = false;
-      for (int y = 0; y < H; ++y)
-        for (int c = 0; c < W; ++c) {
-          const std::int32_t q =
-              common::quantize(src[static_cast<std::size_t>(y) * W + c] / act_scale_, n_bits);
-          neg = neg || q < 0;
-          const std::uint64_t group = bitplane::plane_group(q, n_bits);
-          std::memcpy(image + layout.pixel(z, y, c), &group, 8);
-        }
-      negative[static_cast<std::size_t>(item)] = neg ? 1 : 0;
-    }
-  });
-  // Images holding a negative code get a folded image; the rest read their
-  // plane image for the magnitude dots too.
-  std::vector<std::size_t> slot(images, images);
-  std::size_t folded = 0;
+std::vector<std::uint8_t*> Conv2D::size_plane_images_(const Tensor& x, float inv_scale,
+                                                      int n_bits) {
+  if (!plane_layout_.matches(in_ch_, x.h(), x.w(), k_, s_, p_))
+    plane_layout_.assign(in_ch_, x.h(), x.w(), k_, s_, p_);
+  const auto images = static_cast<std::size_t>(x.n());
+  const std::size_t pixels = static_cast<std::size_t>(in_ch_) * x.h() * x.w();
+  plane_image_.resize(images * plane_layout_.image_bytes);
+  if (folded_images_.size() < images) folded_images_.resize(images);
+  std::vector<std::uint8_t*> folded(images, nullptr);
   for (std::size_t n = 0; n < images; ++n)
-    for (int z = 0; z < in_ch_ && slot[n] == images; ++z)
-      if (negative[n * static_cast<std::size_t>(in_ch_) + static_cast<std::size_t>(z)])
-        slot[n] = folded++;
-  folded_image_.resize(folded * layout.image_bytes);
-  common::parallel_for(pool_, items, [&](std::int64_t lo, std::int64_t hi, int) {
-    for (std::int64_t item = lo; item < hi; ++item) {
-      const std::size_t n = static_cast<std::size_t>(item / in_ch_);
-      if (slot[n] == images) continue;
-      const std::size_t ch =
-          static_cast<std::size_t>(item % in_ch_) * layout.channel_bytes;
-      const std::uint8_t* src = plane_image_.data() + n * layout.image_bytes + ch;
-      std::uint8_t* dst = folded_image_.data() + slot[n] * layout.image_bytes + ch;
-      for (std::size_t o = 0; o < layout.channel_bytes; o += 8) {
-        std::uint64_t group;
-        std::memcpy(&group, src + o, 8);
-        group = bitplane::folded_group(group, n_bits);
-        std::memcpy(dst + o, &group, 8);
-      }
+    if (bitplane::any_negative_code(x.data().data() + n * pixels, pixels, inv_scale, n_bits)) {
+      folded_images_[n].resize(plane_layout_.image_bytes);
+      folded[n] = folded_images_[n].data();
     }
-  });
-  std::vector<const std::uint8_t*> f(images);
-  for (std::size_t n = 0; n < images; ++n)
-    f[n] = slot[n] == images ? plane_image_.data() + n * layout.image_bytes
-                             : folded_image_.data() + slot[n] * layout.image_bytes;
-  return f;
+  return folded;
 }
+
+namespace {
+
+// Builds a batch's plane images inside the row pass, each once, with no
+// dispatch of its own. A shard needing image n that is not built yet claims
+// the unclaimed images in index order, building each, until n is claimed;
+// if another shard claimed n, it waits for that build, which is already
+// running. A serial pass builds each image just before its first row.
+// `build` must not throw: a shard waiting on it would wait forever.
+class PlaneBuilds {
+ public:
+  explicit PlaneBuilds(std::size_t images) : ready_(images) {}
+
+  template <class Build>
+  void ensure(std::size_t n, const Build& build) {
+    while (!ready_[n].load(std::memory_order_acquire)) {
+      const std::size_t m = next_.fetch_add(1, std::memory_order_relaxed);
+      if (m >= ready_.size()) {
+        while (!ready_[n].load(std::memory_order_acquire)) std::this_thread::yield();
+        return;
+      }
+      build(m);
+      ready_[m].store(true, std::memory_order_release);
+    }
+  }
+
+ private:
+  std::vector<std::atomic<bool>> ready_;
+  std::atomic<std::size_t> next_{0};
+};
+
+}  // namespace
 
 Tensor Conv2D::forward_quantized_im2col(const Tensor& x) {
   const int nbits = engine_->bits();
@@ -226,12 +209,16 @@ Tensor Conv2D::forward_quantized_im2col(const Tensor& x) {
   // Engines with the bit-plane stage read patches in place from plane
   // images; the rest get int32 im2col patches.
   const bool planes = engine_->bitplane_stage();
+  // pow2_ceil never returns less than 1, so 1 / act_scale_ is an exact power
+  // of two and v * inv_scale rounds exactly like v / act_scale_.
+  const float inv_scale = 1.0f / act_scale_;
   std::vector<std::int32_t> xq;
-  std::vector<const std::uint8_t*> folded;
+  std::vector<std::uint8_t*> folded;
   if (planes)
-    folded = build_plane_images_(x, nbits);
+    folded = size_plane_images_(x, inv_scale, nbits);
   else
     xq = quantize_input_(x, nbits);
+  PlaneBuilds builds(folded.size());
 
   const float out_scale = weight_scale_ * act_scale_ /
                           static_cast<float>(std::int64_t{1} << (nbits - 1));
@@ -252,9 +239,11 @@ Tensor Conv2D::forward_quantized_im2col(const Tensor& x) {
   // filter rows share: one mac_block call over the plane image, or C int32
   // patches materialized once into a contiguous [c][z][i][j] buffer and
   // driven through mac_rows per filter row — either way the gather (and its
-  // padding handling) is paid once instead of out_ch_ times. Items write
-  // disjoint output rows; per-shard MacStats are merged in shard order, so
-  // logits and counters are independent of the worker count.
+  // padding handling) is paid once instead of out_ch_ times. With the
+  // stage, a row's plane image is built by the first shard that needs it
+  // (PlaneBuilds), in this same dispatch. Items write disjoint output rows;
+  // per-shard MacStats are merged in shard order, so logits and counters
+  // are independent of the worker count.
   //
   // Sharding goes through the k-aware weighted planner. Every spatial row
   // MACs all filter rows, so per-item budgets are uniform here and the plan
@@ -282,11 +271,18 @@ Tensor Conv2D::forward_quantized_im2col(const Tensor& x) {
       const int n = static_cast<int>(row / R);
       const int r = static_cast<int>(row % R);
       if (planes) {
-        const std::size_t image = static_cast<std::size_t>(n) * plane_layout_.image_bytes;
+        const auto image = static_cast<std::size_t>(n);
+        std::uint8_t* u = plane_image_.data() + image * plane_layout_.image_bytes;
+        builds.ensure(image, [&](std::size_t m) {
+          bitplane::encode_image(*engine_->bitplane_kernel(), plane_layout_,
+                                 x.data().data() + m * plane, inv_scale, nbits,
+                                 plane_image_.data() + m * plane_layout_.image_bytes, folded[m]);
+        });
+        const std::uint8_t* f = folded[image] ? folded[image] : u;
         const std::size_t origin = plane_layout_.row_origin(r);
         engine_->mac_block(weight_rows,
-                           {.u = plane_image_.data() + image + origin,
-                            .f = folded[static_cast<std::size_t>(n)] + origin,
+                           {.u = u + origin,
+                            .f = f + origin,
                             .offsets = plane_layout_.offsets,
                             .tile = static_cast<std::size_t>(C)},
                            accs, local);

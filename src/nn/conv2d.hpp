@@ -128,11 +128,13 @@ class Conv2D final : public Layer {
   /// Quantize the whole input batch to activation codes (parallel over
   /// samples; elementwise, so sharding cannot change the values).
   std::vector<std::int32_t> quantize_input_(const Tensor& x, int n_bits) const;
-  /// Quantize the batch straight into plane images (plane_image_, laid out
-  /// by plane_layout_) and fold the images that hold a negative code into
-  /// folded_image_. Returns each image's folded image, or its plane image
-  /// when it holds no negative code.
-  std::vector<const std::uint8_t*> build_plane_images_(const Tensor& x, int n_bits);
+  /// Lay out and size the plane images of x's batch (plane_image_, laid
+  /// out by plane_layout_), and give each image n that holds a negative
+  /// code a folded image folded_images_[n]. Returns each image's folded
+  /// image, or nullptr when no code is negative. The row pass writes the
+  /// images (bitplane::encode_image), so nothing allocates there.
+  /// inv_scale = 1 / act_scale_.
+  std::vector<std::uint8_t*> size_plane_images_(const Tensor& x, float inv_scale, int n_bits);
 
   /// The weight-code cache. Not thread-safe: called from the forward entry
   /// thread before any sharding starts (and from benches/tests).
@@ -170,10 +172,11 @@ class Conv2D final : public Layer {
   mutable bool bitplane_cache_valid_ = false;
 
   // The bit-plane stage's activation side: the patch-offset table of the
-  // last input geometry, and plane/folded images reused across forwards.
+  // last input geometry, and plane/folded images reused across forwards
+  // (a folded image is allocated only once its image holds a negative code).
   bitplane::ImageLayout plane_layout_;
   std::vector<std::uint8_t> plane_image_;
-  std::vector<std::uint8_t> folded_image_;
+  std::vector<std::vector<std::uint8_t>> folded_images_;
 };
 
 }  // namespace scnn::nn

@@ -79,6 +79,76 @@ void ImageLayout::assign(int channels_, int height_, int width_, int kernel_,
         static_cast<std::size_t>((x + pad_) / stride_) * 8;
 }
 
+bool any_negative_code(const float* v, std::size_t count, float inv_scale, int n_bits) {
+  // x > -0.5 <=> v * inv_scale > -2^-N: scaling by 2^(N-1) is exact.
+  const float bound = -0.5f / static_cast<float>(1 << (n_bits - 1));
+  // Blocks of 64 keep the compare loop vectorizable and stop a signed
+  // image's scan at its first negative block.
+  constexpr std::size_t kBlock = 64;
+  for (std::size_t i = 0; i < count; i += kBlock) {
+    int negatives = 0;
+    for (std::size_t j = i; j < std::min(count, i + kBlock); ++j)
+      negatives += !(v[j] * inv_scale > bound);
+    if (negatives != 0) return true;
+  }
+  return false;
+}
+
+void encode_image(const Kernel& kernel, const ImageLayout& layout, const float* v,
+                  float inv_scale, int n_bits, std::uint8_t* u, std::uint8_t* f) {
+  const std::uint64_t pad_group = plane_group(0, n_bits);  // code 0 is its own fold
+  const auto pad = [&](std::size_t o, std::size_t bytes) {
+    for (std::size_t b = o; b < o + bytes; b += 8) {
+      std::memcpy(u + b, &pad_group, 8);
+      if (f) std::memcpy(f + b, &pad_group, 8);
+    }
+  };
+  const auto encode = [&](const float* src, std::size_t width, std::size_t rows,
+                          std::size_t o) {
+    kernel.encode(src, width, rows, layout.row_bytes, inv_scale, n_bits, u + o,
+                  f ? f + o : nullptr);
+  };
+  const int s = layout.stride, p = layout.pad, H = layout.height, W = layout.width;
+  const std::size_t slots = layout.phase_bytes / 8;
+  const std::size_t border = static_cast<std::size_t>(p) * layout.row_bytes;
+  for (int z = 0; z < layout.channels; ++z) {
+    const std::size_t channel = static_cast<std::size_t>(z) * layout.channel_bytes;
+    const float* plane = v + static_cast<std::size_t>(z) * H * W;
+    pad(channel, border);
+    pad(channel + border + static_cast<std::size_t>(H) * layout.row_bytes, border);
+    for (int ph = 0; ph < s; ++ph) {
+      // Phase ph holds columns x0, x0 + s, ... (padded column x + p at slot
+      // (x + p) / s): pixels in one run of slots, padding on either side.
+      const int x0 = ((ph - p) % s + s) % s;
+      const std::size_t count = x0 < W ? static_cast<std::size_t>((W - 1 - x0) / s + 1) : 0;
+      const std::size_t first = count ? static_cast<std::size_t>((x0 + p) / s) : 0;
+      const std::size_t phase = channel + border + static_cast<std::size_t>(ph) * layout.phase_bytes;
+      for (int y = 0; y < H; ++y) {
+        const std::size_t row = phase + static_cast<std::size_t>(y) * layout.row_bytes;
+        pad(row, 8 * first);
+        pad(row + 8 * (first + count), 8 * (slots - first - count));
+      }
+      if (count == 0) continue;
+      if (s == 1) {
+        encode(plane, count, static_cast<std::size_t>(H), phase + 8 * first);
+        continue;
+      }
+      // Strided columns are staged into a contiguous run first.
+      constexpr std::size_t kChunk = 64;
+      float staged[kChunk];
+      for (int y = 0; y < H; ++y) {
+        const float* src = plane + static_cast<std::size_t>(y) * W + x0;
+        const std::size_t row = phase + static_cast<std::size_t>(y) * layout.row_bytes;
+        for (std::size_t c = 0; c < count; c += kChunk) {
+          const std::size_t m = std::min(kChunk, count - c);
+          for (std::size_t i = 0; i < m; ++i) staged[i] = src[static_cast<std::size_t>(s) * (c + i)];
+          encode(staged, m, 1, row + 8 * (first + c));
+        }
+      }
+    }
+  }
+}
+
 std::vector<const Kernel*> available_kernels() {
   std::vector<const Kernel*> ks;
   if (const Kernel* k = avx2_kernel()) ks.push_back(k);

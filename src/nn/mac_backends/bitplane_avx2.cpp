@@ -158,6 +158,93 @@ void avx2_dots(const Coefficients& coef, const PlaneRow& x, std::int32_t* s,
     dots<true>(coef, x, s, a);
 }
 
+// ---- activation encode ---------------------------------------------------
+//
+// Eight activations per step, quantized as common::quantize does: scale by
+// the exact power of two, clamp (vmaxps hands back its second operand for a
+// NaN, so NaN lands on the low rail), truncate, and round half away from
+// zero on the exact fraction x - trunc(x). The offset images u = q + 2^(N-1)
+// are spread into plane groups: each 128-bit lane takes a copy of four u
+// dwords, vpshufb repeats byte 0 of two of them over a group each, and
+// masking with 0x8040201008040201 leaves bit b in byte b (vpminub against 1
+// makes it 0/1). A row's last (width mod 8) activations use vmaskmov loads
+// and stores.
+
+// Plane groups of the four u dwords of `half` (both lanes hold them). Lane
+// 0 takes dwords 0 and 1, lane 1 dwords 2 and 3.
+__attribute__((target("avx2"))) inline __m256i spread_groups(__m256i half) {
+  const __m256i spread = _mm256_setr_epi64x(0, 0x0404040404040404LL, 0x0808080808080808LL,
+                                            0x0c0c0c0c0c0c0c0cLL);
+  const __m256i bits = _mm256_set1_epi64x(static_cast<long long>(0x8040201008040201ULL));
+  return _mm256_min_epu8(_mm256_and_si256(_mm256_shuffle_epi8(half, spread), bits),
+                         _mm256_set1_epi8(1));
+}
+
+// The groups of eight u dwords at p, the first m <= 8 of them only.
+__attribute__((target("avx2"))) inline void store_groups(std::uint8_t* p, __m256i uq,
+                                                         std::size_t m) {
+  const __m256i g0 = spread_groups(_mm256_permute2x128_si256(uq, uq, 0x00));
+  const __m256i g1 = spread_groups(_mm256_permute2x128_si256(uq, uq, 0x11));
+  if (m == 8) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), g0);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + 32), g1);
+    return;
+  }
+  const __m256i slot = _mm256_setr_epi64x(0, 1, 2, 3);
+  const __m256i n = _mm256_set1_epi64x(static_cast<long long>(m));
+  _mm256_maskstore_epi64(reinterpret_cast<long long*>(p), _mm256_cmpgt_epi64(n, slot), g0);
+  _mm256_maskstore_epi64(reinterpret_cast<long long*>(p + 32),
+                         _mm256_cmpgt_epi64(n, _mm256_add_epi64(slot, _mm256_set1_epi64x(4))),
+                         g1);
+}
+
+template <bool kFold>
+__attribute__((target("avx2"))) void encode(const float* v, std::size_t width,
+                                            std::size_t rows, std::size_t pitch,
+                                            float inv_scale, int n_bits, std::uint8_t* u,
+                                            std::uint8_t* f) {
+  const std::int32_t half = std::int32_t{1} << (n_bits - 1);
+  const __m256 inv = _mm256_set1_ps(inv_scale);
+  const __m256 unit = _mm256_set1_ps(static_cast<float>(half));
+  const __m256 lo = _mm256_set1_ps(static_cast<float>(-half));
+  const __m256 hi = _mm256_set1_ps(static_cast<float>(half - 1));
+  const __m256 up = _mm256_set1_ps(0.5f), down = _mm256_set1_ps(-0.5f);
+  const __m256i offset = _mm256_set1_epi32(half);
+  const __m256i fold = _mm256_set1_epi32(2 * half - 1);
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (std::size_t r = 0; r < rows; ++r, v += width, u += pitch, f += kFold ? pitch : 0) {
+    for (std::size_t i = 0; i < width; i += 8) {
+      const std::size_t m = std::min<std::size_t>(8, width - i);
+      const __m256 raw =
+          m == 8 ? _mm256_loadu_ps(v + i)
+                 : _mm256_maskload_ps(v + i, _mm256_cmpgt_epi32(
+                                                 _mm256_set1_epi32(static_cast<int>(m)), lane));
+      __m256 x = _mm256_mul_ps(_mm256_mul_ps(raw, inv), unit);
+      x = _mm256_min_ps(_mm256_max_ps(x, lo), hi);
+      const __m256i t = _mm256_cvttps_epi32(x);
+      const __m256 frac = _mm256_sub_ps(x, _mm256_cvtepi32_ps(t));
+      // Compare masks are all-ones (-1) lanes: subtracting rounds up.
+      const __m256i q = _mm256_add_epi32(
+          _mm256_sub_epi32(t, _mm256_castps_si256(_mm256_cmp_ps(frac, up, _CMP_GE_OQ))),
+          _mm256_castps_si256(_mm256_cmp_ps(frac, down, _CMP_LE_OQ)));
+      const __m256i uq = _mm256_add_epi32(q, offset);
+      store_groups(u + 8 * i, uq, m);
+      if constexpr (kFold)
+        store_groups(f + 8 * i, _mm256_xor_si256(uq, _mm256_and_si256(
+                                                         _mm256_cmpgt_epi32(offset, uq), fold)),
+                     m);
+    }
+  }
+}
+
+void avx2_encode(const float* v, std::size_t width, std::size_t rows, std::size_t pitch,
+                 float inv_scale, int n_bits, std::uint8_t* u, std::uint8_t* f) {
+  if (f)
+    encode<true>(v, width, rows, pitch, inv_scale, n_bits, u, f);
+  else
+    encode<false>(v, width, rows, pitch, inv_scale, n_bits, u, f);
+}
+
 }  // namespace
 }  // namespace scnn::nn::bitplane
 
@@ -168,7 +255,7 @@ namespace scnn::nn::bitplane {
 const Kernel* avx2_kernel() {
 #ifdef SCNN_HAVE_BITPLANE_AVX2
   if (!common::cpu_features().avx2) return nullptr;
-  static const Kernel k{"avx2", &avx2_dots};
+  static const Kernel k{"avx2", &avx2_dots, &avx2_encode};
   return &k;
 #else
   return nullptr;

@@ -98,7 +98,9 @@ TEST_P(SignedErrorBound, WithinNHalfLsb) {
   }
   // The bound must also be reasonably tight: the worst case is at least 1 LSB
   // for n >= 5 (otherwise the test is vacuous).
-  if (n >= 5) EXPECT_GE(worst, 0.5);
+  if (n >= 5) {
+    EXPECT_GE(worst, 0.5);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Precisions, SignedErrorBound, ::testing::Values(4, 5, 6, 7, 8, 9));

@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -110,6 +113,144 @@ TEST(BitplaneLayout, PlaneGroupsRoundTripEveryCode) {
   }
 }
 
+// The float inputs of the encode check at one precision and scale: every
+// rounding edge k / 2^(N-1) and (k + 1/2) / 2^(N-1) for k from two codes
+// past the low rail to two past the high one, each with its float
+// neighbours; zeros, denormals, infinities, NaNs and huge values; and a
+// strided sweep of all 2^32 float bit patterns (NaN payloads included).
+std::vector<float> encode_inputs(int n_bits, float act_scale) {
+  const int half = 1 << (n_bits - 1);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> v;
+  for (int k = -half - 2; k <= half + 1; ++k)
+    for (const float step : {0.0f, 0.5f}) {
+      const float edge = (static_cast<float>(k) + step) / static_cast<float>(half) * act_scale;
+      v.insert(v.end(), {edge, std::nextafter(edge, -kInf), std::nextafter(edge, kInf)});
+    }
+  using L = std::numeric_limits<float>;
+  for (const float x : {0.0f, L::denorm_min(), L::min() / 2, L::min(), L::max(), 1e30f, kInf,
+                        L::quiet_NaN(), L::signaling_NaN()})
+    v.insert(v.end(), {x, -x});
+  for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << 32); bits += 10007)
+    v.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(bits)));
+  return v;
+}
+
+// Each stage kernel's encode against plane_group(common::quantize(v /
+// act_scale, N)) and its fold, at N = 2..8 and four activation scales.
+// pow2_ceil never returns less than 1, so 1 / act_scale is an exact power
+// of two and the kernel's v * (1 / act_scale) is the same float as the
+// v / act_scale the reference quantizes. The inputs go through in blocks
+// of 1-33 columns (every masked tail of both vector widths) and 1-3 rows
+// at a row pitch with 0-3 spare groups; every block is written into fresh
+// buffers poisoned with 0xcc, so a group the kernel skips, or a byte it
+// writes between rows or past the block, is a mismatch.
+TEST(BitplaneLayout, EncodeMatchesQuantizeAndPlaneGroup) {
+  const auto kernels = bitplane::available_kernels();
+  if (kernels.empty()) GTEST_SKIP() << "no bit-plane kernel on this machine";
+  constexpr std::uint8_t kPoison = 0xcc;
+  for (int n = 2; n <= bitplane::kMaxBits; ++n)
+    for (const float act_scale : {1.0f, 2.0f, 64.0f, 1048576.0f}) {
+      const std::vector<float> v = encode_inputs(n, act_scale);
+      std::vector<std::uint64_t> ref(v.size());
+      for (std::size_t i = 0; i < v.size(); ++i)
+        ref[i] = bitplane::plane_group(common::quantize(v[i] / act_scale, n), n);
+      for (const bitplane::Kernel* kernel : kernels)
+        for (const bool fold : {false, true}) {
+          std::uint64_t failures = 0, blocks = 0;
+          std::string first;
+          std::vector<std::uint8_t> u, f;
+          for (std::size_t i = 0; i < v.size(); ++blocks) {
+            const std::size_t width = std::min<std::size_t>(1 + blocks % 33, v.size() - i);
+            const std::size_t rows = std::min<std::size_t>(1 + blocks % 3, (v.size() - i) / width);
+            const std::size_t pitch = 8 * (width + blocks % 4);
+            const std::size_t bytes = rows * pitch + 64;
+            u.assign(bytes, kPoison);
+            f.assign(bytes, kPoison);
+            kernel->encode(v.data() + i, width, rows, pitch, 1.0f / act_scale, n, u.data(),
+                           fold ? f.data() : nullptr);
+            for (std::size_t o = 0; o < bytes; ++o) {
+              const std::size_t r = o / pitch, c = o % pitch, t = i + r * width + c / 8;
+              const bool pixel = r < rows && c < 8 * width;
+              const std::uint64_t g = pixel ? ref[t] : 0;
+              const auto want_u = pixel ? static_cast<std::uint8_t>(g >> (8 * (c % 8))) : kPoison;
+              const std::uint64_t gf = bitplane::folded_group(g, n);
+              const auto want_f =
+                  pixel && fold ? static_cast<std::uint8_t>(gf >> (8 * (c % 8))) : kPoison;
+              if (u[o] == want_u && f[o] == want_f) continue;
+              if (failures++ == 0)
+                first = "width=" + std::to_string(width) + " rows=" + std::to_string(rows) +
+                        " byte=" + std::to_string(o) +
+                        (pixel ? " v=" + std::to_string(v[t]) : std::string(" outside"));
+            }
+            i += rows * width;
+          }
+          EXPECT_EQ(failures, 0u) << kernel->name << " N=" << n << " scale=" << act_scale
+                                  << (fold ? " fold " : " ") << first;
+        }
+    }
+}
+
+// encode_image against an image built pixel by pixel (pad groups
+// everywhere, then each pixel's reference group, folded for f), byte for
+// byte, into buffers poisoned with 0xcc: strides 1-3 (the staged strided
+// columns, past one 64-column chunk at width 140), pads 0-2, K 1/3/5, and
+// signed and non-negative inputs, where any_negative_code must agree with
+// the codes.
+TEST(BitplaneLayout, EncodeImageMatchesPixelwiseImage) {
+  const auto kernels = bitplane::available_kernels();
+  if (kernels.empty()) GTEST_SKIP() << "no bit-plane kernel on this machine";
+  int idx = 0;
+  for (const int kernel_size : {1, 3, 5})
+    for (const int stride : {1, 2, 3})
+      for (const int pad : {0, 1, 2})
+        for (const int width : {1, 2, 3, 5, 8, 13, 17, 33, 140}) {
+          const int n = 2 + idx % 7, height = 1 + idx % 3, channels = 1 + idx % 2;
+          const bool signed_input = idx++ % 2 == 0;
+          bitplane::ImageLayout layout;
+          layout.assign(channels, height, width, kernel_size, stride, pad);
+          const float act_scale = 2.0f;
+          common::SplitMix64 rng(static_cast<std::uint64_t>(idx));
+          std::vector<float> v(static_cast<std::size_t>(channels) * height * width);
+          for (float& x : v)
+            x = static_cast<float>(rng.next_in(signed_input ? -2.0 : 0.0, 2.0));
+          std::vector<std::uint8_t> u_ref(layout.image_bytes), f_ref(layout.image_bytes);
+          const std::uint64_t pad_group = bitplane::plane_group(0, n);
+          for (std::size_t o = 0; o < layout.image_bytes; o += 8) {
+            std::memcpy(u_ref.data() + o, &pad_group, 8);
+            std::memcpy(f_ref.data() + o, &pad_group, 8);
+          }
+          bool negative = false;
+          std::size_t i = 0;
+          for (int z = 0; z < channels; ++z)
+            for (int y = 0; y < height; ++y)
+              for (int x = 0; x < width; ++x) {
+                const std::int32_t q = common::quantize(v[i++] / act_scale, n);
+                negative = negative || q < 0;
+                const std::uint64_t g = bitplane::plane_group(q, n);
+                const std::uint64_t gf = bitplane::folded_group(g, n);
+                std::memcpy(u_ref.data() + layout.pixel(z, y, x), &g, 8);
+                std::memcpy(f_ref.data() + layout.pixel(z, y, x), &gf, 8);
+              }
+          const std::string ctx = "K=" + std::to_string(kernel_size) +
+                                  " S=" + std::to_string(stride) + " P=" + std::to_string(pad) +
+                                  " W=" + std::to_string(width) + " N=" + std::to_string(n);
+          EXPECT_EQ(bitplane::any_negative_code(v.data(), v.size(), 1.0f / act_scale, n),
+                    negative)
+              << ctx;
+          for (const bitplane::Kernel* kernel : kernels)
+            for (const bool fold : {false, true}) {
+              std::vector<std::uint8_t> u(layout.image_bytes, 0xcc), f(layout.image_bytes, 0xcc);
+              bitplane::encode_image(*kernel, layout, v.data(), 1.0f / act_scale, n, u.data(),
+                                     fold ? f.data() : nullptr);
+              EXPECT_EQ(u, u_ref) << kernel->name << " " << ctx;
+              if (fold) {
+                EXPECT_EQ(f, f_ref) << kernel->name << " " << ctx << " fold";
+              }
+            }
+        }
+}
+
 // Every (qw, qx) pair through the stage's own layout and every stage kernel
 // this machine runs: one-code rows against one-code patches are single
 // products, all certified at A = 2.
@@ -153,11 +294,27 @@ std::vector<std::int32_t> random_codes(std::size_t count, int n_bits, bool signe
   return codes;
 }
 
+// A stand-in stage kernel that fills the per-thread s/a scratch of
+// bitplane::run with dots that certify at any rails (S - A = sum_k - sum_sk
+// >= 0, S + A far below 2 lo) as outputs near -2^29, which no block here
+// produces. Running it before a real kernel means an output that kernel
+// skips fails the checks, instead of passing on the value an earlier
+// kernel left in the scratch.
+void poison_dots(const bitplane::Coefficients& coef, const bitplane::PlaneRow& x,
+                 std::int32_t* s, std::int32_t* a) {
+  const std::size_t n = static_cast<std::size_t>(coef.rows) * ((x.tile + 3) / 4 * 4);
+  std::fill(s, s + n, -(1 << 28));
+  std::fill(a, a + n, -(1 << 28));
+}
+const bitplane::Kernel kPoisonKernel{"poison", &poison_dots, nullptr};
+
 // Raw blocks through every stage kernel this machine runs: every certified
 // output equals the scalar LUT reference and has no clamp event there, and
 // every kernel certifies the same outputs; the engine's block call, fallback
 // included, equals the scalar engine's mac_rows per filter row in values and
-// MacStats. Rows 1-9 straddle the 4-, 2- and 1-row register tiles; tiles
+// MacStats. Each kernel, and the engine, runs after kPoisonKernel, so no
+// kernel reads another's results out of the shared per-thread scratch.
+// Rows 1-9 straddle the 4-, 2- and 1-row register tiles; tiles
 // straddle the groups of four outputs and cover the avx2 kernel's 2-group
 // tile and the avx512vnni kernel's zmm pairs (16 outputs), single zmm group
 // (8) and 4-output ymm tail; d = 0 is included, and both signed (folded) and
@@ -211,6 +368,7 @@ TEST(BitplaneStage, BlocksMatchScalarReferenceIncludingFallback) {
               for (const bitplane::Kernel* kernel : kernels) {
                 const std::string ctx = std::string(kernel->name) + " " + label;
                 std::vector<std::int64_t> out(outputs, -7);
+                (void)bitplane::run(kPoisonKernel, coef, block.row(), lo, hi, out);
                 const auto flags = bitplane::run(*kernel, coef, block.row(), lo, hi, out);
                 if (kernel == kernels.front())
                   first_flags.assign(flags.begin(), flags.end());
@@ -259,6 +417,7 @@ TEST(BitplaneStage, BlocksMatchScalarReferenceIncludingFallback) {
                                      std::span<std::int64_t>(ref_out).subspan(
                                          static_cast<std::size_t>(m) * tile, tile),
                                      ref_stats);
+              (void)bitplane::run(kPoisonKernel, coef, block.row(), lo, hi, got);
               engine->mac_block(staged, block.row(), got, got_stats);
               EXPECT_EQ(got, ref_out) << label;
               EXPECT_EQ(got_stats, ref_stats) << label;

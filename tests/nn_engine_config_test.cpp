@@ -119,7 +119,7 @@ TEST(EngineConfigJson, SparsityStringsRoundTripAndAliasParses) {
   // The underscore spelling is accepted on input (env vars and flags both
   // read naturally); the canonical output spelling stays "zero-skip".
   EXPECT_EQ(sparsity_from_string("zero_skip"), Sparsity::kZeroSkip);
-  EXPECT_THROW(sparsity_from_string("sparse"), std::invalid_argument);
+  EXPECT_THROW((void)sparsity_from_string("sparse"), std::invalid_argument);
 }
 
 TEST(EngineConfigValidate, RejectsBadBackendEnum) {

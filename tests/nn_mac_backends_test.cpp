@@ -261,7 +261,9 @@ TEST(MacBackends, EnvOverrideForcesAutoButNeverExplicitRequests) {
   // An explicit request wins over the environment.
   EXPECT_EQ(resolved_kernel(MacBackend::kScalar), "scalar");
   const Kernel* simd = nn::backends::best_simd_kernel();
-  if (simd) EXPECT_EQ(resolved_kernel(MacBackend::kSimd), simd->name);
+  if (simd) {
+    EXPECT_EQ(resolved_kernel(MacBackend::kSimd), simd->name);
+  }
 
   // The env's "simd" spelling forces kAuto onto the widest SIMD kernel, and
   // fails loudly where there is none, exactly like an explicit kSimd.
@@ -367,9 +369,9 @@ TEST(MacBackends, BackendStringsRoundTrip) {
     EXPECT_EQ(nn::mac_backend_from_string(to_string(b)), b);
   // Concrete kernel names are not MacBackend values — they belong to the
   // SCNN_BACKEND env channel (kernel_by_name), not the config.
-  EXPECT_THROW(nn::mac_backend_from_string("avx512"), std::invalid_argument);
+  EXPECT_THROW((void)nn::mac_backend_from_string("avx512"), std::invalid_argument);
   // A config naming a backend this build lacks fails loudly, never silently.
-  EXPECT_THROW(nn::mac_backend_from_string("popcount"), std::invalid_argument);
+  EXPECT_THROW((void)nn::mac_backend_from_string("popcount"), std::invalid_argument);
 }
 
 TEST(MacBackends, KernelByNameFindsExactlyTheRunnableKernels) {
@@ -392,7 +394,9 @@ TEST(MacBackends, KernelSupportInventoryIsConsistent) {
   int stage_rows = 0;
   for (const auto& s : support) {
     const std::string_view name = s.name;
-    if (s.supported) EXPECT_TRUE(s.compiled) << name;
+    if (s.supported) {
+      EXPECT_TRUE(s.compiled) << name;
+    }
     if (name == "scalar") {
       saw_scalar = true;
       EXPECT_TRUE(s.compiled);

@@ -44,7 +44,7 @@ TEST(MacEngineTest, EnginesDifferInArithmetic) {
 }
 
 TEST(MacEngineTest, UnknownKindNameThrows) {
-  EXPECT_THROW(engine_kind_from_string("nope"), std::invalid_argument);
+  EXPECT_THROW((void)engine_kind_from_string("nope"), std::invalid_argument);
 }
 
 TEST(MacEngineTest, KindRoundTripsThroughStrings) {

@@ -65,7 +65,9 @@ TEST(PackedRowCodes, BuildMatchesTheDenseCodesExactly) {
     std::vector<std::int32_t> rebuilt(static_cast<std::size_t>(row_len), 0);
     std::uint64_t k = 0;
     for (std::size_t i = 0; i < cols.size(); ++i) {
-      if (i > 0) EXPECT_LT(cols[i - 1], cols[i]);
+      if (i > 0) {
+        EXPECT_LT(cols[i - 1], cols[i]);
+      }
       ASSERT_GE(cols[i], 0);
       ASSERT_LT(cols[i], row_len);
       EXPECT_NE(codes[i], 0);
@@ -276,10 +278,12 @@ TEST(ZeroSkipInference, BitIdenticalToDenseAcrossDensityBackendThreadsAndN) {
           EXPECT_EQ(stats, ref_stats) << ctx;  // macs/products/sat/k_hist
           // The bit-plane stage issues no columns, so only the outputs it
           // hands back to the LUT kernel can skip anything.
-          if (zero_fraction > 0.0 && !session.engine()->bitplane_stage())
+          if (zero_fraction > 0.0 && !session.engine()->bitplane_stage()) {
             EXPECT_GT(stats.skipped_products, 0u) << ctx;
-          if (session.engine()->bitplane_stage() && stats.uncertified == 0)
+          }
+          if (session.engine()->bitplane_stage() && stats.uncertified == 0) {
             EXPECT_EQ(stats.skipped_products, 0u) << ctx;
+          }
           EXPECT_GT(stats.sched_shards, 0u) << ctx;
           EXPECT_GE(stats.sched_budget_total, stats.sched_budget_max_shard) << ctx;
         }
@@ -315,7 +319,9 @@ TEST(ZeroSkipInference, DetailModeHistogramsAreScheduleIndependent) {
   // Outputs the bit-plane stage certifies issue no columns and skip nothing.
   if (session.engine()->bitplane_stage()) {
     EXPECT_LE(by_mode[1].skipped_products, by_mode[1].k_hist.buckets[0]);
-    if (by_mode[1].uncertified == 0) EXPECT_EQ(by_mode[1].skipped_products, 0u);
+    if (by_mode[1].uncertified == 0) {
+      EXPECT_EQ(by_mode[1].skipped_products, 0u);
+    }
   } else {
     EXPECT_GT(by_mode[1].skipped_products, 0u);
     EXPECT_EQ(by_mode[1].k_hist.buckets[0], by_mode[1].skipped_products);

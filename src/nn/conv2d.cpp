@@ -1,12 +1,11 @@
 #include "nn/conv2d.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "common/fixed_point.hpp"
 #include "common/rng.hpp"
@@ -165,38 +164,6 @@ std::vector<std::uint8_t*> Conv2D::size_plane_images_(const Tensor& x, float inv
   return folded;
 }
 
-namespace {
-
-// Builds a batch's plane images inside the row pass, each once, with no
-// dispatch of its own. A shard needing image n that is not built yet claims
-// the unclaimed images in index order, building each, until n is claimed;
-// if another shard claimed n, it waits for that build, which is already
-// running. A serial pass builds each image just before its first row.
-// `build` must not throw: a shard waiting on it would wait forever.
-class PlaneBuilds {
- public:
-  explicit PlaneBuilds(std::size_t images) : ready_(images) {}
-
-  template <class Build>
-  void ensure(std::size_t n, const Build& build) {
-    while (!ready_[n].load(std::memory_order_acquire)) {
-      const std::size_t m = next_.fetch_add(1, std::memory_order_relaxed);
-      if (m >= ready_.size()) {
-        while (!ready_[n].load(std::memory_order_acquire)) std::this_thread::yield();
-        return;
-      }
-      build(m);
-      ready_[m].store(true, std::memory_order_release);
-    }
-  }
-
- private:
-  std::vector<std::atomic<bool>> ready_;
-  std::atomic<std::size_t> next_{0};
-};
-
-}  // namespace
-
 Tensor Conv2D::forward_quantized_im2col(const Tensor& x) {
   const int nbits = engine_->bits();
   const auto d = dims_for(x);
@@ -218,7 +185,7 @@ Tensor Conv2D::forward_quantized_im2col(const Tensor& x) {
     folded = size_plane_images_(x, inv_scale, nbits);
   else
     xq = quantize_input_(x, nbits);
-  PlaneBuilds builds(folded.size());
+  std::vector<std::once_flag> built(folded.size());
 
   const float out_scale = weight_scale_ * act_scale_ /
                           static_cast<float>(std::int64_t{1} << (nbits - 1));
@@ -240,10 +207,11 @@ Tensor Conv2D::forward_quantized_im2col(const Tensor& x) {
   // patches materialized once into a contiguous [c][z][i][j] buffer and
   // driven through mac_rows per filter row — either way the gather (and its
   // padding handling) is paid once instead of out_ch_ times. With the
-  // stage, a row's plane image is built by the first shard that needs it
-  // (PlaneBuilds), in this same dispatch. Items write disjoint output rows;
-  // per-shard MacStats are merged in shard order, so logits and counters
-  // are independent of the worker count.
+  // stage, a row's plane image is built once, in this same dispatch, by
+  // the first shard that reads it; a shard reaching it mid-build waits.
+  // Items write disjoint output rows; per-shard MacStats are merged in
+  // shard order, so logits and counters are independent of the worker
+  // count.
   //
   // Sharding goes through the k-aware weighted planner. Every spatial row
   // MACs all filter rows, so per-item budgets are uniform here and the plan
@@ -273,10 +241,9 @@ Tensor Conv2D::forward_quantized_im2col(const Tensor& x) {
       if (planes) {
         const auto image = static_cast<std::size_t>(n);
         std::uint8_t* u = plane_image_.data() + image * plane_layout_.image_bytes;
-        builds.ensure(image, [&](std::size_t m) {
-          bitplane::encode_image(*engine_->bitplane_kernel(), plane_layout_,
-                                 x.data().data() + m * plane, inv_scale, nbits,
-                                 plane_image_.data() + m * plane_layout_.image_bytes, folded[m]);
+        std::call_once(built[image], [&] {
+          bitplane::encode_image(plane_layout_, x.data().data() + image * plane, inv_scale,
+                                 nbits, u, folded[image]);
         });
         const std::uint8_t* f = folded[image] ? folded[image] : u;
         const std::size_t origin = plane_layout_.row_origin(r);

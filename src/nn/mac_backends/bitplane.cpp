@@ -94,8 +94,8 @@ bool any_negative_code(const float* v, std::size_t count, float inv_scale, int n
   return false;
 }
 
-void encode_image(const Kernel& kernel, const ImageLayout& layout, const float* v,
-                  float inv_scale, int n_bits, std::uint8_t* u, std::uint8_t* f) {
+void encode_image(const ImageLayout& layout, const float* v, float inv_scale, int n_bits,
+                  std::uint8_t* u, std::uint8_t* f) {
   const std::uint64_t pad_group = plane_group(0, n_bits);  // code 0 is its own fold
   const auto pad = [&](std::size_t o, std::size_t bytes) {
     for (std::size_t b = o; b < o + bytes; b += 8) {
@@ -103,10 +103,9 @@ void encode_image(const Kernel& kernel, const ImageLayout& layout, const float* 
       if (f) std::memcpy(f + b, &pad_group, 8);
     }
   };
-  const auto encode = [&](const float* src, std::size_t width, std::size_t rows,
-                          std::size_t o) {
-    kernel.encode(src, width, rows, layout.row_bytes, inv_scale, n_bits, u + o,
-                  f ? f + o : nullptr);
+  const auto encode_at = [&](const float* src, std::size_t width, std::size_t rows,
+                             std::size_t o) {
+    encode(src, width, rows, layout.row_bytes, inv_scale, n_bits, u + o, f ? f + o : nullptr);
   };
   const int s = layout.stride, p = layout.pad, H = layout.height, W = layout.width;
   const std::size_t slots = layout.phase_bytes / 8;
@@ -130,7 +129,7 @@ void encode_image(const Kernel& kernel, const ImageLayout& layout, const float* 
       }
       if (count == 0) continue;
       if (s == 1) {
-        encode(plane, count, static_cast<std::size_t>(H), phase + 8 * first);
+        encode_at(plane, count, static_cast<std::size_t>(H), phase + 8 * first);
         continue;
       }
       // Strided columns are staged into a contiguous run first.
@@ -142,7 +141,7 @@ void encode_image(const Kernel& kernel, const ImageLayout& layout, const float* 
         for (std::size_t c = 0; c < count; c += kChunk) {
           const std::size_t m = std::min(kChunk, count - c);
           for (std::size_t i = 0; i < m; ++i) staged[i] = src[static_cast<std::size_t>(s) * (c + i)];
-          encode(staged, m, 1, row + 8 * (first + c));
+          encode_at(staged, m, 1, row + 8 * (first + c));
         }
       }
     }

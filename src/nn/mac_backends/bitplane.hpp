@@ -142,22 +142,10 @@ void gather(const PlaneRow& x, int n_bits, std::size_t t0, std::size_t t1,
 using DotsFn = void (*)(const Coefficients& coef, const PlaneRow& x,
                         std::int32_t* s, std::int32_t* a);
 
-/// Quantize a rows x width block of activations v ([rows][width]) straight
-/// into plane groups. With q = common::quantize(v[r * width + i] * inv_scale,
-/// n_bits), group (r, i) is plane_group(q, n_bits) at u + r * pitch + 8 i
-/// and, when f != nullptr, folded_group of it at the same place in f; no
-/// other byte is written. inv_scale must be one over a power-of-two scale
-/// of at least 1 (common::pow2_ceil's range), so v * inv_scale is exactly
-/// the v / scale that common::quantize is handed elsewhere.
-using EncodeFn = void (*)(const float* v, std::size_t width, std::size_t rows,
-                          std::size_t pitch, float inv_scale, int n_bits, std::uint8_t* u,
-                          std::uint8_t* f);
-
 /// One kernel of the stage.
 struct Kernel {
   const char* name;  ///< "avx2" | "avx512vnni"
   DotsFn dots;
-  EncodeFn encode;
   /// The only mac_rows kernel (backends::Kernel::name) this stage kernel
   /// runs in front of; nullptr = any SIMD kernel.
   const char* lut = nullptr;
@@ -180,7 +168,20 @@ struct Kernel {
 /// kernel. Tests iterate this to pin each kernel on any host that has it.
 [[nodiscard]] std::vector<const Kernel*> available_kernels();
 
-/// Whether any of v[0 .. count) quantizes to a negative code (as EncodeFn
+/// Quantize a rows x width block of activations v ([rows][width]) straight
+/// into plane groups, eight at a time with AVX2. With q =
+/// common::quantize(v[r * width + i] * inv_scale, n_bits), group (r, i) is
+/// plane_group(q, n_bits) at u + r * pitch + 8 i and, when f != nullptr,
+/// folded_group of it at the same place in f; no other byte is written.
+/// inv_scale must be one over a power-of-two scale of at least 1
+/// (common::pow2_ceil's range), so v * inv_scale is exactly the v / scale
+/// that common::quantize is handed elsewhere. Every stage kernel's CPU has
+/// AVX2 (available_kernels() is empty otherwise), so the stage needs no
+/// other form; called where the AVX2 kernel is not compiled, it aborts.
+void encode(const float* v, std::size_t width, std::size_t rows, std::size_t pitch,
+            float inv_scale, int n_bits, std::uint8_t* u, std::uint8_t* f);
+
+/// Whether any of v[0 .. count) quantizes to a negative code (as encode
 /// quantizes it): x = v * inv_scale * 2^(N-1) rounds below zero exactly
 /// when x <= -0.5, and NaN goes to the low rail.
 [[nodiscard]] bool any_negative_code(const float* v, std::size_t count, float inv_scale,
@@ -188,11 +189,11 @@ struct Kernel {
 
 /// Write one image's plane image u, and its folded image when f != nullptr,
 /// from its channels x height x width activations ([z][y][x]): the pixels
-/// through kernel.encode, plane_group(0) into the border rows, the pad
-/// columns and the slack slots. Every byte of the image_bytes is written
-/// once, so the buffers need no clearing.
-void encode_image(const Kernel& kernel, const ImageLayout& layout, const float* v,
-                  float inv_scale, int n_bits, std::uint8_t* u, std::uint8_t* f);
+/// through encode, plane_group(0) into the border rows, the pad columns and
+/// the slack slots. Every byte of the image_bytes is written once, so the
+/// buffers need no clearing.
+void encode_image(const ImageLayout& layout, const float* v, float inv_scale, int n_bits,
+                  std::uint8_t* u, std::uint8_t* f);
 
 /// Run the stage over a block: `coef.rows` filter rows against the x.tile
 /// patches of `x`. Writes every out[m * tile + t] and returns one flag per

@@ -15,9 +15,16 @@
 // (32640 <= 32767) before they are widened (vpmaddwd against ones) into
 // exact int32 sums.
 //
+// The file also holds the stage's activation encode (bitplane::encode),
+// which both stage kernels' engines use: every CPU with the AVX-512 VNNI
+// kernel has AVX2, and the plane build is bound by its stores, so a zmm
+// form measured no faster.
+//
 // Compiled via the function-level target attribute so no special flags are
 // needed; runtime selection goes through cpu_features().avx2.
 #include "nn/mac_backends/bitplane.hpp"
+
+#include <cstdlib>
 
 #if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
 #define SCNN_HAVE_BITPLANE_AVX2 1
@@ -199,10 +206,10 @@ __attribute__((target("avx2"))) inline void store_groups(std::uint8_t* p, __m256
 }
 
 template <bool kFold>
-__attribute__((target("avx2"))) void encode(const float* v, std::size_t width,
-                                            std::size_t rows, std::size_t pitch,
-                                            float inv_scale, int n_bits, std::uint8_t* u,
-                                            std::uint8_t* f) {
+__attribute__((target("avx2"))) void encode_rows(const float* v, std::size_t width,
+                                                 std::size_t rows, std::size_t pitch,
+                                                 float inv_scale, int n_bits, std::uint8_t* u,
+                                                 std::uint8_t* f) {
   const std::int32_t half = std::int32_t{1} << (n_bits - 1);
   const __m256 inv = _mm256_set1_ps(inv_scale);
   const __m256 unit = _mm256_set1_ps(static_cast<float>(half));
@@ -237,14 +244,6 @@ __attribute__((target("avx2"))) void encode(const float* v, std::size_t width,
   }
 }
 
-void avx2_encode(const float* v, std::size_t width, std::size_t rows, std::size_t pitch,
-                 float inv_scale, int n_bits, std::uint8_t* u, std::uint8_t* f) {
-  if (f)
-    encode<true>(v, width, rows, pitch, inv_scale, n_bits, u, f);
-  else
-    encode<false>(v, width, rows, pitch, inv_scale, n_bits, u, f);
-}
-
 }  // namespace
 }  // namespace scnn::nn::bitplane
 
@@ -255,10 +254,24 @@ namespace scnn::nn::bitplane {
 const Kernel* avx2_kernel() {
 #ifdef SCNN_HAVE_BITPLANE_AVX2
   if (!common::cpu_features().avx2) return nullptr;
-  static const Kernel k{"avx2", &avx2_dots, &avx2_encode};
+  static const Kernel k{"avx2", &avx2_dots};
   return &k;
 #else
   return nullptr;
+#endif
+}
+
+void encode(const float* v, std::size_t width, std::size_t rows, std::size_t pitch,
+            float inv_scale, int n_bits, std::uint8_t* u, std::uint8_t* f) {
+#ifdef SCNN_HAVE_BITPLANE_AVX2
+  if (f)
+    encode_rows<true>(v, width, rows, pitch, inv_scale, n_bits, u, f);
+  else
+    encode_rows<false>(v, width, rows, pitch, inv_scale, n_bits, u, f);
+#else
+  (void)v, (void)width, (void)rows, (void)pitch, (void)inv_scale, (void)n_bits, (void)u,
+      (void)f;
+  std::abort();  // no stage kernel exists here, so no stage calls this
 #endif
 }
 

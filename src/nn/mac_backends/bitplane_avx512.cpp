@@ -33,7 +33,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -198,89 +197,6 @@ void avx512_dots(const Coefficients& coef, const PlaneRow& x, std::int32_t* s,
     dots<true>(coef, x, s, a);
 }
 
-// ---- activation encode ---------------------------------------------------
-//
-// Sixteen activations per step, quantized as common::quantize does and as
-// the AVX2 encode does (bitplane_avx2.cpp): exact power-of-two scale, clamp
-// with NaN on the low rail, truncate, round half away from zero on the
-// exact fraction. vpmovdb narrows the offset images u = q + 2^(N-1) to
-// bytes, vbroadcasti32x4 copies them into every 128-bit lane, vpshufb
-// repeats one byte per 8-byte group (pixels 0-7, then 8-15), and vptestmb
-// against 0x8040201008040201 selects the 0x01 bytes. A row's last
-// (width mod 16) activations use masked loads and byte-masked stores. Every
-// intrinsic whose GCC 12 form takes an undefined pass-through operand is
-// used in its zero-masking form under an all-ones mask.
-
-#define SCNN_ENCODE_TARGET __attribute__((target("avx512f,avx512bw,avx512vl")))
-
-constexpr __mmask16 kAll16 = 0xffff;
-
-// Low `bytes` bytes of a 64-byte store (bytes <= 64).
-inline __mmask64 byte_mask(std::size_t bytes) {
-  return bytes >= 64 ? ~__mmask64{0} : (__mmask64{1} << bytes) - 1;
-}
-
-// The plane groups of the sixteen u dwords, the first m <= 16 of them only.
-SCNN_ENCODE_TARGET inline void store_groups(std::uint8_t* p, __m512i uq, std::size_t m) {
-  constexpr long long kByte = 0x0101010101010101LL;
-  const __m512i bytes =
-      _mm512_maskz_broadcast_i32x4(kAll16, _mm512_maskz_cvtepi32_epi8(kAll16, uq));
-  const __m512i bits = _mm512_set1_epi64(static_cast<long long>(0x8040201008040201ULL));
-  const __m512i one = _mm512_set1_epi8(1);
-  const __m512i spread = _mm512_set_epi64(7 * kByte, 6 * kByte, 5 * kByte, 4 * kByte,
-                                          3 * kByte, 2 * kByte, kByte, 0);
-  const __m512i g0 = _mm512_maskz_mov_epi8(
-      _mm512_test_epi8_mask(_mm512_shuffle_epi8(bytes, spread), bits), one);
-  _mm512_mask_storeu_epi8(p, byte_mask(8 * m), g0);
-  if (m <= 8) return;
-  const __m512i g1 = _mm512_maskz_mov_epi8(
-      _mm512_test_epi8_mask(
-          _mm512_shuffle_epi8(bytes, _mm512_add_epi8(spread, _mm512_set1_epi8(8))), bits),
-      one);
-  _mm512_mask_storeu_epi8(p + 64, byte_mask(8 * (m - 8)), g1);
-}
-
-template <bool kFold>
-SCNN_ENCODE_TARGET void encode(const float* v, std::size_t width, std::size_t rows,
-                               std::size_t pitch, float inv_scale, int n_bits,
-                               std::uint8_t* u, std::uint8_t* f) {
-  const std::int32_t half = std::int32_t{1} << (n_bits - 1);
-  const __m512 inv = _mm512_set1_ps(inv_scale);
-  const __m512 unit = _mm512_set1_ps(static_cast<float>(half));
-  const __m512 lo = _mm512_set1_ps(static_cast<float>(-half));
-  const __m512 hi = _mm512_set1_ps(static_cast<float>(half - 1));
-  const __m512 up = _mm512_set1_ps(0.5f), down = _mm512_set1_ps(-0.5f);
-  const __m512i one = _mm512_set1_epi32(1);
-  const __m512i offset = _mm512_set1_epi32(half);
-  const __m512i fold = _mm512_set1_epi32(2 * half - 1);
-  for (std::size_t r = 0; r < rows; ++r, v += width, u += pitch, f += kFold ? pitch : 0) {
-    for (std::size_t i = 0; i < width; i += 16) {
-      const std::size_t m = std::min<std::size_t>(16, width - i);
-      const auto lanes = static_cast<__mmask16>((1u << m) - 1);
-      __m512 x = _mm512_mul_ps(_mm512_mul_ps(_mm512_maskz_loadu_ps(lanes, v + i), inv), unit);
-      x = _mm512_maskz_min_ps(kAll16, _mm512_maskz_max_ps(kAll16, x, lo), hi);
-      const __m512i t = _mm512_maskz_cvttps_epi32(kAll16, x);
-      const __m512 frac = _mm512_sub_ps(x, _mm512_maskz_cvtepi32_ps(kAll16, t));
-      __m512i q = _mm512_mask_add_epi32(t, _mm512_cmp_ps_mask(frac, up, _CMP_GE_OQ), t, one);
-      q = _mm512_mask_sub_epi32(q, _mm512_cmp_ps_mask(frac, down, _CMP_LE_OQ), q, one);
-      const __m512i uq = _mm512_add_epi32(q, offset);
-      store_groups(u + 8 * i, uq, m);
-      if constexpr (kFold)
-        store_groups(f + 8 * i,
-                     _mm512_mask_xor_epi32(uq, _mm512_cmplt_epi32_mask(uq, offset), uq, fold),
-                     m);
-    }
-  }
-}
-
-void avx512_encode(const float* v, std::size_t width, std::size_t rows, std::size_t pitch,
-                   float inv_scale, int n_bits, std::uint8_t* u, std::uint8_t* f) {
-  if (f)
-    encode<true>(v, width, rows, pitch, inv_scale, n_bits, u, f);
-  else
-    encode<false>(v, width, rows, pitch, inv_scale, n_bits, u, f);
-}
-
 }  // namespace
 }  // namespace scnn::nn::bitplane
 
@@ -292,7 +208,7 @@ const Kernel* avx512_kernel() {
 #ifdef SCNN_HAVE_BITPLANE_AVX512
   const common::CpuFeatures& f = common::cpu_features();
   if (!f.avx512_mac_tier() || !f.avx512vnni) return nullptr;
-  static const Kernel k{"avx512vnni", &avx512_dots, &avx512_encode, "avx512"};
+  static const Kernel k{"avx512vnni", &avx512_dots, "avx512"};
   return &k;
 #else
   return nullptr;

@@ -136,18 +136,18 @@ std::vector<float> encode_inputs(int n_bits, float act_scale) {
   return v;
 }
 
-// Each stage kernel's encode against plane_group(common::quantize(v /
-// act_scale, N)) and its fold, at N = 2..8 and four activation scales.
-// pow2_ceil never returns less than 1, so 1 / act_scale is an exact power
-// of two and the kernel's v * (1 / act_scale) is the same float as the
-// v / act_scale the reference quantizes. The inputs go through in blocks
-// of 1-33 columns (every masked tail of both vector widths) and 1-3 rows
-// at a row pitch with 0-3 spare groups; every block is written into fresh
-// buffers poisoned with 0xcc, so a group the kernel skips, or a byte it
+// The stage's encode against plane_group(common::quantize(v / act_scale,
+// N)) and its fold, at N = 2..8 and four activation scales. pow2_ceil
+// never returns less than 1, so 1 / act_scale is an exact power of two and
+// the encode's v * (1 / act_scale) is the same float as the v / act_scale
+// the reference quantizes. The inputs go through in blocks of 1-33
+// columns (every tail length of the 8-wide encode, after 0-4 full
+// vectors) and 1-3 rows at a row pitch with 0-3 spare groups; every block is written into fresh
+// buffers poisoned with 0xcc, so a group the encode skips, or a byte it
 // writes between rows or past the block, is a mismatch.
 TEST(BitplaneLayout, EncodeMatchesQuantizeAndPlaneGroup) {
-  const auto kernels = bitplane::available_kernels();
-  if (kernels.empty()) GTEST_SKIP() << "no bit-plane kernel on this machine";
+  if (bitplane::available_kernels().empty())
+    GTEST_SKIP() << "no bit-plane kernel on this machine";
   constexpr std::uint8_t kPoison = 0xcc;
   for (int n = 2; n <= bitplane::kMaxBits; ++n)
     for (const float act_scale : {1.0f, 2.0f, 64.0f, 1048576.0f}) {
@@ -155,39 +155,38 @@ TEST(BitplaneLayout, EncodeMatchesQuantizeAndPlaneGroup) {
       std::vector<std::uint64_t> ref(v.size());
       for (std::size_t i = 0; i < v.size(); ++i)
         ref[i] = bitplane::plane_group(common::quantize(v[i] / act_scale, n), n);
-      for (const bitplane::Kernel* kernel : kernels)
-        for (const bool fold : {false, true}) {
-          std::uint64_t failures = 0, blocks = 0;
-          std::string first;
-          std::vector<std::uint8_t> u, f;
-          for (std::size_t i = 0; i < v.size(); ++blocks) {
-            const std::size_t width = std::min<std::size_t>(1 + blocks % 33, v.size() - i);
-            const std::size_t rows = std::min<std::size_t>(1 + blocks % 3, (v.size() - i) / width);
-            const std::size_t pitch = 8 * (width + blocks % 4);
-            const std::size_t bytes = rows * pitch + 64;
-            u.assign(bytes, kPoison);
-            f.assign(bytes, kPoison);
-            kernel->encode(v.data() + i, width, rows, pitch, 1.0f / act_scale, n, u.data(),
+      for (const bool fold : {false, true}) {
+        std::uint64_t failures = 0, blocks = 0;
+        std::string first;
+        std::vector<std::uint8_t> u, f;
+        for (std::size_t i = 0; i < v.size(); ++blocks) {
+          const std::size_t width = std::min<std::size_t>(1 + blocks % 33, v.size() - i);
+          const std::size_t rows = std::min<std::size_t>(1 + blocks % 3, (v.size() - i) / width);
+          const std::size_t pitch = 8 * (width + blocks % 4);
+          const std::size_t bytes = rows * pitch + 64;
+          u.assign(bytes, kPoison);
+          f.assign(bytes, kPoison);
+          bitplane::encode(v.data() + i, width, rows, pitch, 1.0f / act_scale, n, u.data(),
                            fold ? f.data() : nullptr);
-            for (std::size_t o = 0; o < bytes; ++o) {
-              const std::size_t r = o / pitch, c = o % pitch, t = i + r * width + c / 8;
-              const bool pixel = r < rows && c < 8 * width;
-              const std::uint64_t g = pixel ? ref[t] : 0;
-              const auto want_u = pixel ? static_cast<std::uint8_t>(g >> (8 * (c % 8))) : kPoison;
-              const std::uint64_t gf = bitplane::folded_group(g, n);
-              const auto want_f =
-                  pixel && fold ? static_cast<std::uint8_t>(gf >> (8 * (c % 8))) : kPoison;
-              if (u[o] == want_u && f[o] == want_f) continue;
-              if (failures++ == 0)
-                first = "width=" + std::to_string(width) + " rows=" + std::to_string(rows) +
-                        " byte=" + std::to_string(o) +
-                        (pixel ? " v=" + std::to_string(v[t]) : std::string(" outside"));
-            }
-            i += rows * width;
+          for (std::size_t o = 0; o < bytes; ++o) {
+            const std::size_t r = o / pitch, c = o % pitch, t = i + r * width + c / 8;
+            const bool pixel = r < rows && c < 8 * width;
+            const std::uint64_t g = pixel ? ref[t] : 0;
+            const auto want_u = pixel ? static_cast<std::uint8_t>(g >> (8 * (c % 8))) : kPoison;
+            const std::uint64_t gf = bitplane::folded_group(g, n);
+            const auto want_f =
+                pixel && fold ? static_cast<std::uint8_t>(gf >> (8 * (c % 8))) : kPoison;
+            if (u[o] == want_u && f[o] == want_f) continue;
+            if (failures++ == 0)
+              first = "width=" + std::to_string(width) + " rows=" + std::to_string(rows) +
+                      " byte=" + std::to_string(o) +
+                      (pixel ? " v=" + std::to_string(v[t]) : std::string(" outside"));
           }
-          EXPECT_EQ(failures, 0u) << kernel->name << " N=" << n << " scale=" << act_scale
-                                  << (fold ? " fold " : " ") << first;
+          i += rows * width;
         }
+        EXPECT_EQ(failures, 0u) << "N=" << n << " scale=" << act_scale
+                                << (fold ? " fold " : " ") << first;
+      }
     }
 }
 
@@ -198,8 +197,8 @@ TEST(BitplaneLayout, EncodeMatchesQuantizeAndPlaneGroup) {
 // signed and non-negative inputs, where any_negative_code must agree with
 // the codes.
 TEST(BitplaneLayout, EncodeImageMatchesPixelwiseImage) {
-  const auto kernels = bitplane::available_kernels();
-  if (kernels.empty()) GTEST_SKIP() << "no bit-plane kernel on this machine";
+  if (bitplane::available_kernels().empty())
+    GTEST_SKIP() << "no bit-plane kernel on this machine";
   int idx = 0;
   for (const int kernel_size : {1, 3, 5})
     for (const int stride : {1, 2, 3})
@@ -238,16 +237,15 @@ TEST(BitplaneLayout, EncodeImageMatchesPixelwiseImage) {
           EXPECT_EQ(bitplane::any_negative_code(v.data(), v.size(), 1.0f / act_scale, n),
                     negative)
               << ctx;
-          for (const bitplane::Kernel* kernel : kernels)
-            for (const bool fold : {false, true}) {
-              std::vector<std::uint8_t> u(layout.image_bytes, 0xcc), f(layout.image_bytes, 0xcc);
-              bitplane::encode_image(*kernel, layout, v.data(), 1.0f / act_scale, n, u.data(),
-                                     fold ? f.data() : nullptr);
-              EXPECT_EQ(u, u_ref) << kernel->name << " " << ctx;
-              if (fold) {
-                EXPECT_EQ(f, f_ref) << kernel->name << " " << ctx << " fold";
-              }
+          for (const bool fold : {false, true}) {
+            std::vector<std::uint8_t> u(layout.image_bytes, 0xcc), f(layout.image_bytes, 0xcc);
+            bitplane::encode_image(layout, v.data(), 1.0f / act_scale, n, u.data(),
+                                   fold ? f.data() : nullptr);
+            EXPECT_EQ(u, u_ref) << ctx;
+            if (fold) {
+              EXPECT_EQ(f, f_ref) << ctx << " fold";
             }
+          }
         }
 }
 
